@@ -67,7 +67,7 @@ def bench_params():
 
 def pytest_benchmark_update_json(config, benchmarks, output_json):
     """Stamp ``--benchmark-json`` output with schema version + git commit,
-    so archived bench_results.json files carry their provenance."""
+    so an archived benchmark file carries its provenance."""
     from repro.bench.reporting import stamp_results
 
     stamp_results(output_json)

@@ -14,11 +14,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..chain.network import NetworkSimulation
 from ..chain.txpool import Packer
 from ..chain.validator import Validator
+from ..executors import EXECUTORS, SerialExecutor
 from ..executors.base import Executor
-from ..executors.dag import DAGExecutor
-from ..executors.dmvcc import DMVCCExecutor
-from ..executors.occ import OCCExecutor
-from ..executors.serial import SerialExecutor
 from ..sim.metrics import BlockMetrics, aggregate
 from ..state.statedb import StateDB
 from ..workload.generator import (
@@ -33,11 +30,7 @@ DEFAULT_THREAD_COUNTS = (1, 2, 4, 8, 16, 32)
 
 def default_executors() -> Dict[str, Callable[[], Executor]]:
     """The paper's comparison set."""
-    return {
-        "dag": DAGExecutor,
-        "occ": OCCExecutor,
-        "dmvcc": DMVCCExecutor,
-    }
+    return {name: cls for name, cls in EXECUTORS.items() if name != "serial"}
 
 
 @dataclass

@@ -66,8 +66,8 @@ def stamp_results(document: dict, backend: Optional[str] = None,
     """Attach the provenance block to a result document, in place.
 
     Used both by :func:`save_results_json` and by the pytest-benchmark
-    ``update_json`` hook, so ``bench_results.json`` and ad-hoc exports carry
-    the same ``repro_meta``.
+    ``update_json`` hook, so ``--benchmark-json`` output and ad-hoc exports
+    carry the same ``repro_meta``.
 
     Besides the schema version and git commit, the stamp records the host
     facts that wall-clock numbers cannot be read without: the Python

@@ -28,5 +28,15 @@ from .dmvcc import DMVCCExecutor
 from .occ import OCCExecutor
 from .replay import ScheduleReplayExecutor
 
-__all__ += ["DAGExecutor", "DMVCCExecutor", "OCCExecutor",
+# The one scheduler-name -> executor-class table; call sites select names
+# from it.  (The sharded executor is added where ``repro.shard`` is already
+# imported, so this package never imports it.)
+EXECUTORS = {
+    "serial": SerialExecutor,
+    "dag": DAGExecutor,
+    "occ": OCCExecutor,
+    "dmvcc": DMVCCExecutor,
+}
+
+__all__ += ["DAGExecutor", "DMVCCExecutor", "EXECUTORS", "OCCExecutor",
             "ScheduleReplayExecutor", "build_conflict_dag"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.types import StateKey
 from ..evm.environment import BlockContext
@@ -52,6 +52,82 @@ class BlockExecution:
     @property
     def success_count(self) -> int:
         return sum(1 for r in self.receipts if r.result.success)
+
+
+SNAPSHOT_WRITER = -1
+
+
+class VersionStore:
+    """Committed write versions per key, by writer index.
+
+    The multi-version store of every executor that answers reads from a
+    point in time instead of from access sequences (OCC rounds, fork-join
+    DAG / schedule replay, on the simulator and on worker pools alike): a
+    read by transaction ``index`` takes the latest version written by a
+    transaction *below* it, else the snapshot.  Publish timestamps exist
+    for the simulated OCC timing model only.
+    """
+
+    def __init__(self, snapshot: Snapshot) -> None:
+        self._snapshot = snapshot
+        # key -> {writer index: (value, publish_time)}
+        self._writes: Dict[StateKey, Dict[int, Tuple[int, float]]] = {}
+
+    def read(
+        self, key: StateKey, index: int, before: Optional[float] = None
+    ) -> Tuple[int, int]:
+        """Latest version by a writer < ``index`` visible at time ``before``
+        (no time bound when ``before`` is None).  Returns (value, writer)."""
+        versions = self._writes.get(key)
+        best_writer = SNAPSHOT_WRITER
+        best_value = 0
+        if versions:
+            for writer, (value, published) in versions.items():
+                if writer >= index or writer <= best_writer:
+                    continue
+                if before is not None and published > before:
+                    continue
+                best_writer = writer
+                best_value = value
+        if best_writer == SNAPSHOT_WRITER:
+            return self._snapshot.get(key), SNAPSHOT_WRITER
+        return best_value, best_writer
+
+    def reader_for(self, index: int, before: Optional[float] = None):
+        """One execution's window onto the store: ``reader(key)`` answers
+        as :meth:`read` does for ``index`` at ``before``; ``observed`` keeps
+        the first (value, writer) it returned per key (what an optimistic
+        validation re-checks) and ``writers`` the writer per key, in the
+        shape ``run_tx_serially`` logs versions from.  Returns
+        (reader, observed, writers)."""
+        observed: Dict[StateKey, Tuple[int, int]] = {}
+        writers: Dict[StateKey, int] = {}
+
+        def reader(key: StateKey) -> int:
+            value, writer = self.read(key, index, before)
+            observed.setdefault(key, (value, writer))
+            writers[key] = writer
+            return value
+
+        return reader, observed, writers
+
+    def publish(self, index: int, writes: Dict[StateKey, int],
+                time: float = 0.0) -> None:
+        for key, value in writes.items():
+            self._writes.setdefault(key, {})[index] = (value, time)
+
+    def retract(self, index: int, keys) -> None:
+        for key in keys:
+            versions = self._writes.get(key)
+            if versions is not None:
+                versions.pop(index, None)
+
+    def final_writes(self) -> Dict[StateKey, int]:
+        return {
+            key: versions[max(versions)][0]
+            for key, versions in self._writes.items()
+            if versions
+        }
 
 
 class Executor(ABC):

@@ -18,25 +18,18 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..analysis.csag import CSAG, CSAGBuilder
 from ..core.types import StateKey
 from ..evm.environment import BlockContext
-from ..evm.events import (
-    FrameCheckpoint,
-    FrameCommit,
-    FrameRevert,
-    StorageRead,
-    StorageWrite,
-)
 from ..sim.clock import EventLoop
 from ..sim.metrics import TxMetrics
 from ..sim.threadpool import ThreadPool
-from ..state.journal import WriteJournal
 from ..state.statedb import Snapshot
-from .base import BlockExecution, Executor, Receipt
-from .txprogram import StorageIncrement, TxResult, transaction_program
+from .base import BlockExecution, Executor, Receipt, VersionStore
+from .serial import run_tx_serially
+from .txprogram import TxResult
 
 
 def build_conflict_dag(
@@ -99,170 +92,186 @@ class DAGExecutor(Executor):
         csags: Optional[List[CSAG]] = None,
     ) -> BlockExecution:
         """Execute ``txs`` respecting the conflict DAG; see Executor."""
-        pool = self._substrate_pool(threads)
-        if pool is not None:
-            from ..substrate.coordinator import run_dag_real
-            return run_dag_real(self, pool, txs, snapshot, code_resolver,
-                                block, csags, threads=threads)
         wall_start = perf_counter()
         if csags is None:
             builder = CSAGBuilder(code_resolver, block=block)
             csags = [builder.build(tx, snapshot) for tx in txs]
         deps = build_conflict_dag(csags, self.granularity)
-        dependents: List[List[int]] = [[] for _ in txs]
-        remaining = [len(d) for d in deps]
+        execution = run_fork_join(
+            self, txs, snapshot, code_resolver, threads, block, deps,
+            view_keys=lambda i: csags[i].read_keys | csags[i].static_read_keys,
+            lock_events=True,
+        )
+        # The analysis above is part of what this baseline costs.
+        execution.metrics.wall_time = perf_counter() - wall_start
+        return execution
+
+
+class ForkJoin:
+    """Gated fork-join dispatch: the one loop behind DAG and schedule replay.
+
+    ``deps[j]`` are the transactions that must commit before ``j`` starts
+    (derived from C-SAGs by the DAG baseline, read from the sealed
+    artifact by replay).  A transaction dispatches, lowest index first,
+    once its predecessors committed and a lane is free; its reads take the
+    latest committed writer below its index; its writes publish at
+    completion.  Nothing aborts.  The two execution models are lanes:
+    :class:`_SimLanes` below runs a transaction to completion at dispatch
+    and schedules its completion on the gas clock, the substrate
+    coordinator's lanes ship it to a worker pool.  A lane supplies
+    ``now``, ``free``, ``start`` (which ends in :meth:`finish`),
+    ``release``, ``drive`` and ``stamp``.
+    """
+
+    def __init__(self, executor, txs, snapshot, code_resolver, threads, block,
+                 deps: List[Set[int]], lock_events: bool = False) -> None:
+        self.ex = executor
+        self.txs = txs
+        self.resolve_code = code_resolver
+        self.threads = threads
+        self.block = block
+        self.deps = deps
+        # DAG waits are lock waits on its conflict predecessors; a replayed
+        # schedule has no locks to wait on.
+        self.lock_events = lock_events
+        self.obs = executor.obs
+        self.recorder = executor.recorder
+        self.store = VersionStore(snapshot)
+        self.dependents: List[List[int]] = [[] for _ in txs]
+        self.remaining = [len(d) for d in deps]
         for j, dset in enumerate(deps):
             for i in dset:
-                dependents[i].append(j)
+                self.dependents[i].append(j)
+        self.ready: List[int] = []  # min-heap: deterministic index order
+        self.receipts: List[Optional[Receipt]] = [None] * len(txs)
+        self.per_tx = [TxMetrics(index=i) for i in range(len(txs))]
 
+    def execute(self) -> BlockExecution:
+        wall_start = perf_counter()
         obs = self.obs
-        loop = EventLoop()
-        pool = ThreadPool(threads, obs=obs)
         if obs is not None:
-            obs.block_start(0.0, scheduler=self.name, threads=threads,
-                            tx_count=len(txs))
-        # Published versions per key: (tx_index, value), appended in
-        # completion order; reads take the latest finished writer < self.
-        versions: Dict[StateKey, List[Tuple[int, int]]] = {}
-        ready: List[int] = []  # min-heap: deterministic index order
-        receipts: List[Optional[Receipt]] = [None] * len(txs)
-        per_tx: List[TxMetrics] = [TxMetrics(index=i) for i in range(len(txs))]
-
-        def resolver_for(index: int):
-            def resolve(key: StateKey) -> Tuple[int, int]:
-                """(value, writer) of the latest finished writer < index."""
-                best: Optional[Tuple[int, int]] = None
-                for writer, value in versions.get(key, ()):
-                    if writer < index and (best is None or writer > best[0]):
-                        best = (writer, value)
-                if best is not None:
-                    return best[1], best[0]
-                return snapshot.get(key), -1
-
-            return resolve
-
-        def dispatch() -> None:
-            while ready and pool.idle_count:
-                index = heapq.heappop(ready)
-                thread = pool.try_occupy(loop.now, label=f"T{index}")
-                assert thread is not None
-                start = loop.now
-                if obs is not None:
-                    obs.tx_start(start, index, thread=thread)
-                result, writes = _run_to_completion(
-                    txs[index], resolver_for(index), code_resolver, block,
-                    recorder=self.recorder, index=index,
-                )
-                end = start + result.gas_used * self.gas_time_scale
-                per_tx[index].start_time = start
-                per_tx[index].gas_used = result.gas_used
-                per_tx[index].succeeded = result.success
-
-                def complete(index=index, thread=thread, result=result,
-                             writes=writes, end=end) -> None:
-                    if result.success:
-                        for key, value in writes.items():
-                            versions.setdefault(key, []).append((index, value))
-                            if self.recorder is not None:
-                                self.recorder.publish(index, key, "abs", value)
-                    if self.recorder is not None:
-                        self.recorder.complete(index, success=result.success,
-                                               gas_used=result.gas_used)
-                    receipts[index] = Receipt(index=index, result=result)
-                    per_tx[index].end_time = end
-                    if obs is not None:
-                        obs.tx_end(loop.now, index, success=result.success,
-                                   gas_used=result.gas_used)
-                    pool.release(thread, loop.now)
-                    for dep in dependents[index]:
-                        remaining[dep] -= 1
-                        if remaining[dep] == 0:
-                            if obs is not None:
-                                obs.lock_wait_end(loop.now, dep)
-                                obs.tx_ready(loop.now, dep)
-                            heapq.heappush(ready, dep)
-                    dispatch()
-
-                loop.schedule(end, complete)
-
-        for index in range(len(txs)):
-            if remaining[index] == 0:
+            obs.block_start(0.0, scheduler=self.ex.name, threads=self.threads,
+                            tx_count=len(self.txs))
+        for index, waiting_on in enumerate(self.remaining):
+            if waiting_on == 0:
                 if obs is not None:
                     obs.tx_ready(0.0, index)
-                heapq.heappush(ready, index)
-            elif obs is not None:
+                heapq.heappush(self.ready, index)
+            elif obs is not None and self.lock_events:
                 obs.lock_wait_begin(0.0, index,
-                                    holders=tuple(sorted(deps[index])))
-        loop.schedule_now(dispatch)
-        makespan = loop.run()
+                                    holders=tuple(sorted(self.deps[index])))
+        makespan = self.drive()
         if obs is not None:
-            obs.block_end(makespan, makespan=makespan)
+            obs.block_end(self.now(), makespan=makespan)
 
-        final_receipts = [r for r in receipts if r is not None]
-        if len(final_receipts) != len(txs):
-            missing = [i for i, r in enumerate(receipts) if r is None]
-            raise RuntimeError(f"DAG executor deadlocked; unfinished: {missing}")
-
-        writes: Dict[StateKey, int] = {}
-        for key, entries in versions.items():
-            writes[key] = max(entries, key=lambda e: e[0])[1]
-
-        metrics = self._base_metrics(threads, final_receipts)
+        missing = [i for i, r in enumerate(self.receipts) if r is None]
+        if missing:
+            raise RuntimeError(
+                f"{self.ex.name} executor deadlocked; unfinished: {missing}")
+        metrics = self.ex._base_metrics(self.threads, self.receipts)
         metrics.makespan = makespan
-        metrics.utilisation = pool.utilisation(makespan)
-        metrics.per_tx = per_tx
+        metrics.per_tx = self.per_tx
         metrics.wall_time = perf_counter() - wall_start
-        return BlockExecution(writes=writes, receipts=final_receipts, metrics=metrics)
+        self.stamp(metrics)
+        return BlockExecution(writes=self.store.final_writes(),
+                              receipts=self.receipts, metrics=metrics)
 
+    def pump(self) -> None:
+        while self.ready and self.free():
+            self.start(heapq.heappop(self.ready))
 
-def _run_to_completion(
-    tx, resolve, code_resolver, block, recorder=None, index: int = 0
-) -> Tuple[TxResult, Dict[StateKey, int]]:
-    """Drive one transaction program against a point-in-time resolver.
-
-    ``resolve(key)`` returns (value, writer index); foreign reads are logged
-    to ``recorder`` with the writer version they observed.
-    """
-    last_version: Dict[StateKey, int] = {}
-
-    def reader(key: StateKey) -> int:
-        value, writer = resolve(key)
-        last_version[key] = writer
-        return value
-
-    journal = WriteJournal(reader)
-    program = transaction_program(tx, code_resolver, block=block)
-    to_send: object = None
-    while True:
-        try:
-            event = program.send(to_send)
-        except StopIteration as stop:
-            result: TxResult = stop.value
-            break
-        to_send = None
-        if isinstance(event, StorageRead):
-            own = journal.written(event.key)
-            to_send = journal.read(event.key)
-            if recorder is not None and not own:
-                recorder.read(index, event.key,
-                              last_version.get(event.key, -1), to_send)
-        elif isinstance(event, StorageWrite):
-            journal.write(event.key, event.value)
+    def finish(self, index: int, result: TxResult,
+               writes: Dict[StateKey, int]) -> None:
+        """Commit a finished transaction and release its dependents."""
+        now = self.now()
+        obs, recorder = self.obs, self.recorder
+        if result.success:
+            self.store.publish(index, writes, now)
             if recorder is not None:
-                recorder.write(index, event.key, value=event.value)
-        elif isinstance(event, StorageIncrement):
-            own = journal.written(event.key)
-            base = journal.read(event.key)
-            if recorder is not None and not own:
-                recorder.read(index, event.key,
-                              last_version.get(event.key, -1), base, blind=True)
-            journal.write(event.key, base + event.delta)
-            if recorder is not None:
-                recorder.write(index, event.key, delta=event.delta)
-        elif isinstance(event, FrameCheckpoint):
-            to_send = journal.checkpoint()
-        elif isinstance(event, FrameCommit):
-            journal.commit_checkpoint(event.token)
-        elif isinstance(event, FrameRevert):
-            journal.revert_to(event.token)
-    return result, (journal.write_set if result.success else {})
+                for key, value in writes.items():
+                    recorder.publish(index, key, "abs", value)
+        if recorder is not None:
+            recorder.complete(index, success=result.success,
+                              gas_used=result.gas_used)
+        self.receipts[index] = Receipt(index=index, result=result)
+        per = self.per_tx[index]
+        per.end_time = now
+        per.gas_used = result.gas_used
+        per.succeeded = result.success
+        if obs is not None:
+            obs.tx_end(now, index, success=result.success,
+                       gas_used=result.gas_used)
+        self.release(index, now)
+        for dep in self.dependents[index]:
+            self.remaining[dep] -= 1
+            if self.remaining[dep] == 0:
+                if obs is not None:
+                    if self.lock_events:
+                        obs.lock_wait_end(now, dep)
+                    obs.tx_ready(now, dep)
+                heapq.heappush(self.ready, dep)
+        self.pump()
+
+
+class _SimLanes(ForkJoin):
+    """Fork-join on the simulated thread pool, in gas time."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.loop = EventLoop()
+        self.pool = ThreadPool(self.threads, obs=self.obs)
+        self._thread_of: Dict[int, int] = {}
+
+    def now(self) -> float:
+        return self.loop.now
+
+    def free(self) -> bool:
+        return bool(self.pool.idle_count)
+
+    def start(self, index: int) -> None:
+        start = self.loop.now
+        thread = self.pool.try_occupy(start, label=f"T{index}")
+        assert thread is not None
+        self._thread_of[index] = thread
+        if self.obs is not None:
+            self.obs.tx_start(start, index, thread=thread)
+        reader, _observed, seen = self.store.reader_for(index)
+        result, writes = run_tx_serially(
+            self.txs[index], reader, self.resolve_code, self.block,
+            recorder=self.recorder, index=index, versions=seen,
+        )
+        self.per_tx[index].start_time = start
+        self.loop.schedule(start + result.gas_used * self.ex.gas_time_scale,
+                           lambda: self.finish(index, result, writes))
+
+    def release(self, index: int, now: float) -> None:
+        self.pool.release(self._thread_of.pop(index), now)
+
+    def drive(self) -> float:
+        self.loop.schedule_now(self.pump)
+        return self.loop.run()
+
+    def stamp(self, metrics) -> None:
+        metrics.utilisation = self.pool.utilisation(metrics.makespan)
+
+
+def run_fork_join(
+    executor, txs, snapshot, code_resolver, threads, block,
+    deps: List[Set[int]], view_keys: Callable[[int], Set[StateKey]],
+    lock_events: bool = False,
+) -> BlockExecution:
+    """Run ``txs`` gated by ``deps`` on the executor's substrate.
+
+    ``view_keys(i)`` names the keys transaction ``i`` is expected to read;
+    only worker-pool lanes, which must ship a read view with each task,
+    consult it."""
+    pool = executor._substrate_pool(threads)
+    if pool is None:
+        lanes = _SimLanes(executor, txs, snapshot, code_resolver, threads,
+                          block, deps, lock_events)
+    else:
+        from ..substrate.coordinator import PoolLanes
+        lanes = PoolLanes(executor, txs, snapshot, code_resolver, threads,
+                          block, deps, lock_events, pool=pool,
+                          view_keys=view_keys)
+    return lanes.execute()

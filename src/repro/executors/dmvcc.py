@@ -1,6 +1,9 @@
 """The DMVCC executor: deterministic multi-version concurrency control.
 
-Implements the paper's Algorithms 1–4 over the discrete-event simulator:
+The paper's Algorithms 1–4.  The bookkeeping they share with the worker-pool
+coordinator lives in :mod:`repro.executors.dmvcc_core`; this module is the
+executor and the event-stepped driver that runs the core on the
+discrete-event simulator:
 
 * **schedule generation** (Alg. 1) — access sequences are seeded from the
   C-SAGs; a transaction joins ``Q_ready`` once every state item it reads is
@@ -23,14 +26,13 @@ write-versioned scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..analysis.csag import AccessType, CSAG, CSAGBuilder, CSAGCache
+from ..analysis.csag import CSAG, CSAGCache
 from ..analysis.sag import PSAGCache
 from ..core.errors import SchedulingError
-from ..core.types import Address, StateKey
+from ..core.types import StateKey
 from ..core.words import WORD_MOD
 from ..evm.environment import BlockContext
 from ..evm.events import (
@@ -42,14 +44,12 @@ from ..evm.events import (
     StorageWrite,
     Watchpoint,
 )
-from ..scheduling.access_sequence import AccessSequenceSet
-from ..scheduling.locks import LockTable, ReadyQueue
 from ..sim.clock import EventLoop
-from ..sim.metrics import TxMetrics
 from ..sim.threadpool import ThreadPool
 from ..state.merge import MergeOp
 from ..state.statedb import Snapshot
-from .base import BlockExecution, Executor, Receipt
+from .base import BlockExecution, Executor
+from .dmvcc_core import DMVCCCore, ReadRecord, Status, TxState
 from .txprogram import (
     ExecutionMeter,
     StorageIncrement,
@@ -57,59 +57,6 @@ from .txprogram import (
     resume_transaction_program,
     transaction_program,
 )
-
-
-class _Status(Enum):
-    WAITING = "waiting"
-    READY = "ready"
-    RUNNING = "running"
-    DONE = "done"
-
-
-@dataclass
-class _ReadRecord:
-    """One resolved read of the current attempt, in program order.
-
-    The log is what makes aborts cheap: revalidation re-resolves every
-    record against the live access sequences, and resume finds the first
-    record whose resolution changed.  ``base`` is the value the resolution
-    produced (before any own-delta fold), which is exactly what a
-    re-resolution must reproduce for the read to still be valid.
-
-    Blind increment reads are logged for completeness but are always valid:
-    the static increment-site analysis guarantees their value feeds only the
-    paired ``+=`` (the driver stores the delta, not the absolute), so no
-    later version change can invalidate them.
-
-    Merge-declared reads (``merge_spec`` set) sit in between: the value
-    feeds only the declared bounds guard plus the declared operation, so a
-    base drift is tolerable as long as the guard's *verdict* is unchanged.
-    ``merge_operand`` is the operand of the operation the read fed (filled
-    when the paired write arrives; None means the guard failed or never
-    ran, degrading the record to strict value equality), and ``merge_own``
-    is the transaction's own pending delta at read time, needed to rebuild
-    the observed value from a re-resolved base.
-    """
-
-    key: StateKey
-    base: int
-    version_from: int
-    registered: bool
-    blind: bool = False
-    from_own_delta: bool = False
-    consumed_as_delta: bool = False
-    speculative: bool = False
-    merge_spec: Optional[object] = None
-    merge_operand: Optional[int] = None
-    merge_own: int = 0
-    # Read-log length when the operand was attached: operands attached by
-    # writes past a resume checkpoint are cleared on resume (the write
-    # re-executes and re-derives its delta).
-    merge_attached_at: int = 0
-    # An abort was skipped while this record had no operand yet (the
-    # transaction was still running): the paired write and the completion
-    # hook must re-validate it against the live view.
-    merge_recheck: bool = False
 
 
 @dataclass
@@ -149,17 +96,9 @@ class _ResumePlan:
 
 
 @dataclass
-class _TxState:
-    """Mutable per-transaction execution state."""
+class _TxState(TxState):
+    """The running attempt of an event-stepped transaction."""
 
-    index: int
-    tx: object
-    csag: CSAG
-    needed_keys: Set[StateKey]
-    status: _Status = _Status.WAITING
-    attempts: int = 0
-    result: Optional[TxResult] = None
-    # Running-attempt state:
     generator: Optional[object] = None
     thread: Optional[int] = None
     start_time: float = 0.0
@@ -167,24 +106,20 @@ class _TxState:
     w_abs: Dict[StateKey, int] = field(default_factory=dict)
     w_delta: Dict[StateKey, int] = field(default_factory=dict)
     pending_blind: Dict[StateKey, Tuple[int, int, int]] = field(default_factory=dict)
-    registered_reads: Dict[StateKey, int] = field(default_factory=dict)
-    published: Dict[StateKey, Tuple[str, int]] = field(default_factory=dict)
     frame_stack: List[Tuple[Dict, Dict, Dict]] = field(default_factory=list)
     speculative_reads: int = 0
     release_mode: bool = False  # past a release point with enough gas
     # Incremental re-execution state:
-    read_log: List[_ReadRecord] = field(default_factory=list)
     checkpoints: List[_AttemptCheckpoint] = field(default_factory=list)
     checkpoint_stride: int = 1
     meter: Optional[ExecutionMeter] = None
     resume_from: Optional[_ResumePlan] = None
-    aborting: bool = False        # guards re-entrant abort cascades
-    abort_reentered: bool = False
     # Set by the merge attach-time recheck when a deferred guard's verdict
     # flipped: _process aborts the transaction once the generator suspends.
     merge_self_abort: Optional[StateKey] = None
 
     def reset_attempt(self) -> None:
+        super().reset_attempt()
         self.release_mode = False
         self.generator = None
         self.thread = None
@@ -192,10 +127,7 @@ class _TxState:
         self.w_abs = {}
         self.w_delta = {}
         self.pending_blind = {}
-        self.registered_reads = {}
-        self.published = {}
         self.frame_stack = []
-        self.read_log = []
         self.checkpoints = []
         self.checkpoint_stride = 1
         self.meter = None
@@ -296,133 +228,30 @@ class DMVCCExecutor(Executor):
         return run.execute()
 
 
-class _BlockRun:
-    """One block execution; all protocol state lives here."""
+class _BlockRun(DMVCCCore):
+    """One block on the gas clock: the event-stepped driver of the core.
+
+    Transactions advance one VM event at a time on the discrete-event
+    loop, so this driver owns what only an interleaved execution has: reads
+    that resolve (or speculate) at the moment they happen, release points
+    and early publication, checkpoints / resume / suffix retraction, and
+    declared-merge abort tolerance.
+    """
+
+    state_class = _TxState
 
     def __init__(self, executor, txs, snapshot, code_resolver, threads, block, csags):
-        self.ex = executor
-        self.txs = txs
-        self.snapshot = snapshot
-        self.resolve_code = code_resolver
-        self.block = block if block is not None else BlockContext()
-        self.builder = CSAGBuilder(code_resolver, executor._psag_cache, self.block,
-                                   executor._csag_cache)
-        if csags is None:
-            csags = [self.builder.build(tx, snapshot) for tx in txs]
-        self.csags = csags
-        self.obs = executor.obs
         self.loop = EventLoop()
-        clock = lambda: self.loop.now  # noqa: E731 — shared simulated clock
-        self.sequences = AccessSequenceSet(obs=self.obs, clock=clock)
-        self.locks = LockTable(obs=self.obs, clock=clock)
-        self.queue = ReadyQueue()
+        super().__init__(executor, txs, snapshot, code_resolver, block, csags)
         self.pool = ThreadPool(threads, obs=self.obs)
-        self.states: List[_TxState] = []
-        self.per_tx = [TxMetrics(index=i) for i in range(len(txs))]
-        # Every key a transaction has ever published to, across attempts:
-        # needed at completion to skip-mark writes that a *re-execution's*
-        # different path no longer performs (predictions alone cannot know
-        # about on-the-fly inserted entries).
-        self.ever_written: List[Set[StateKey]] = [set() for _ in txs]
-        self.rescues = 0
         self._dispatch_scheduled = False
-        self.recorder = executor.recorder
-        # Declared-operation merge registry (None ≡ paper semantics).  The
-        # noCW ablation disables it together with blind increments.
-        merges = executor.merges if executor.enable_commutative else None
-        self.merges = merges if merges else None
         self.merge_tolerated = 0
-        # Per-contract static analysis lookups.
-        self._blind_pcs: Dict[Address, FrozenSet[int]] = {}
-        self._increment_map: Dict[Address, Dict[int, int]] = {}
-        self._release_pcs: Dict[Address, FrozenSet[int]] = {}
-        self._release_bounds: Dict[Address, Dict[int, Optional[int]]] = {}
 
-    # ------------------------------------------------------------------
-    # Setup: Algorithm 1, pre-execution part
-    # ------------------------------------------------------------------
+    def now(self) -> float:
+        return self.loop.now
 
-    def _declared(self, access_type: AccessType) -> AccessType:
-        if access_type is AccessType.COMMUTATIVE and not self.ex.enable_commutative:
-            return AccessType.READ_WRITE
-        return access_type
-
-    def _setup(self) -> None:
-        for i, (tx, csag) in enumerate(zip(self.txs, self.csags)):
-            needed: Set[StateKey] = set()
-            per_key = dict(csag.per_key)
-            if not csag.predicted_success and not csag.missing:
-                # The pre-execution took the failure branch; if earlier
-                # transactions flip the branch, the success path's accesses
-                # would all be surprises.  Seed them conservatively (θ) from
-                # the symbolically-resolved static sets instead.
-                for key in csag.static_write_keys:
-                    if key not in per_key:
-                        per_key[key] = AccessType.READ_WRITE
-                for key in csag.static_read_keys:
-                    if key not in per_key:
-                        per_key[key] = AccessType.READ
-            for key, access_type in per_key.items():
-                declared = self._declared(access_type)
-                self.sequences.sequence(key).insert_predicted(i, declared)
-                if declared in (AccessType.READ, AccessType.READ_WRITE):
-                    if (self.merges is not None
-                            and self.merges.lookup(key) is not None):
-                        # Merge-declared keys never gate the start: their
-                        # reads are answered from any available fold and
-                        # validated by guard outcome, not exact value.
-                        continue
-                    needed.add(key)
-            state = _TxState(index=i, tx=tx, csag=csag, needed_keys=needed)
-            self.states.append(state)
-            self.locks.register(i, needed)
-        # Initial grants: items readable straight from the snapshot.
-        for state in self.states:
-            if self.locks.refresh(state.index, self.sequences):
-                state.status = _Status.READY
-                self.queue.push(state.index)
-                if self.obs is not None:
-                    self.obs.tx_ready(0.0, state.index)
-            elif self.obs is not None:
-                keys, blockers = self._wait_info(state.index)
-                self.obs.version_wait_begin(0.0, state.index,
-                                            keys=keys, blockers=blockers)
-
-    def _wait_info(self, index: int):
-        """The unresolvable keys (and their unfinished writers) stalling
-        ``index`` — the payload of a VersionWaitBegin event."""
-        missing = sorted(self.locks.state(index).missing())
-        blockers: Set[int] = set()
-        for key in missing:
-            seq = self.sequences.get(key)
-            if seq is not None:
-                resolution = seq.resolve_read(index)
-                if not resolution.ready:
-                    blockers.update(resolution.blockers)
-        return tuple(missing), tuple(sorted(blockers))
-
-    def _contract_info(self, address: Address):
-        if address not in self._blind_pcs:
-            code = self.resolve_code(address)
-            if code:
-                psag = self.builder.psag_for(code)
-                increments = dict(psag.analysis.increment_sites)
-                self._increment_map[address] = increments
-                self._blind_pcs[address] = frozenset(increments.values())
-                self._release_pcs[address] = frozenset(psag.release_pcs())
-                self._release_bounds[address] = {
-                    rp.pc: rp.gas_bound for rp in psag.release.release_points
-                }
-            else:
-                self._increment_map[address] = {}
-                self._blind_pcs[address] = frozenset()
-                self._release_pcs[address] = frozenset()
-                self._release_bounds[address] = {}
-        return (
-            self._blind_pcs[address],
-            self._increment_map[address],
-            self._release_pcs[address],
-        )
+    def _on_ready(self) -> None:
+        self._schedule_dispatch()
 
     # ------------------------------------------------------------------
     # Main loop
@@ -430,60 +259,22 @@ class _BlockRun:
 
     def execute(self) -> BlockExecution:
         wall_start = perf_counter()
-        if self.obs is not None:
-            self.obs.block_start(0.0, scheduler=self.ex.name,
-                                 threads=self.pool.size,
-                                 tx_count=len(self.txs))
-        self._setup()
+        self._setup(self.pool.size)
         self._schedule_dispatch()
         makespan = self.loop.run()
-        # Rescue pass: recover from any lost wake-up (counted; tests pin 0).
-        guard = 0
-        while not all(s.status is _Status.DONE for s in self.states):
-            guard += 1
-            if guard > 3 * len(self.states) + 10:
-                stuck = [s.index for s in self.states if s.status is not _Status.DONE]
-                raise SchedulingError(f"DMVCC deadlock; stuck transactions: {stuck}")
-            progressed = False
-            for state in self.states:
-                if state.status is _Status.WAITING:
-                    self.rescues += 1
-                    state.status = _Status.READY
-                    self.queue.push(state.index)
-                    if self.obs is not None:
-                        self.obs.version_wait_end(self.loop.now, state.index)
-                        self.obs.tx_ready(self.loop.now, state.index,
-                                          attempt=state.attempts + 1)
-                    progressed = True
-            if not progressed:
-                stuck = [s.index for s in self.states if s.status is not _Status.DONE]
-                raise SchedulingError(f"DMVCC deadlock; stuck transactions: {stuck}")
-            self._schedule_dispatch()
+        while not self._all_done():
+            self._rescue()
             makespan = max(makespan, self.loop.run())
 
-        if self.obs is not None:
-            self.obs.block_end(makespan, makespan=makespan)
-
-        receipts = [
-            Receipt(index=s.index, result=s.result, attempts=max(s.attempts, 1))
-            for s in self.states
-        ]
-        writes = self.sequences.final_writes(self.snapshot.get)
-        metrics = self.ex._base_metrics(self.pool.size, receipts)
-        metrics.makespan = makespan
+        execution = self._result(self.pool.size, makespan, makespan)
+        metrics = execution.metrics
         metrics.utilisation = self.pool.utilisation(makespan)
-        metrics.per_tx = self.per_tx
-        metrics.rescues = self.rescues
-        metrics.replayed_instructions = sum(t.replayed_instructions for t in self.per_tx)
-        metrics.instructions_skipped = sum(t.instructions_skipped for t in self.per_tx)
-        metrics.resumes = sum(t.resumes for t in self.per_tx)
-        metrics.revalidation_hits = sum(t.revalidation_hits for t in self.per_tx)
         metrics.wall_time = perf_counter() - wall_start
         self.ex.last_merge_activity = self._merge_activity()
         if self.merges is not None:
             metrics.merge_tolerated = self.merge_tolerated
             metrics.merge_intents = len(self.ex.last_merge_activity["intents"])
-        return BlockExecution(writes=writes, receipts=receipts, metrics=metrics)
+        return execution
 
     def _merge_activity(self):
         """Side channel for the sharded executor's seal validation.
@@ -538,7 +329,7 @@ class _BlockRun:
     def _watchpoints_for(self, state: _TxState):
         code = self.resolve_code(state.tx.to)
         if code and self.ex.enable_early_write:
-            _blind, _incs, release_pcs = self._contract_info(state.tx.to)
+            release_pcs = self._contract_info(state.tx.to)[2]
             if release_pcs:
                 return {state.tx.to: release_pcs}
         return None
@@ -548,7 +339,7 @@ class _BlockRun:
         if state.resume_from is not None and self._begin_resume(state, now):
             return
         state.reset_attempt()
-        state.status = _Status.RUNNING
+        state.status = Status.RUNNING
         state.attempts += 1
         state.thread = self.pool.try_occupy(now, label=f"T{state.index}")
         state.start_time = now
@@ -575,18 +366,11 @@ class _BlockRun:
         ck = plan.checkpoint
         first_invalid, versions = self._validate_reads(state, ck.read_index)
         if first_invalid is not None:
-            self._retract_published(state)
-            for key in state.registered_reads:
-                seq = self.sequences.get(key)
-                if seq is not None:
-                    entry = seq.entry(state.index)
-                    if entry is not None:
-                        entry.reset_read()
-            state.reset_attempt()
+            self._restart(state)
             return False
         prefix = state.read_log[: ck.read_index]
         self._rerecord_reads(state, prefix, versions)
-        state.status = _Status.RUNNING
+        state.status = Status.RUNNING
         state.attempts += 1
         state.thread = self.pool.try_occupy(now, label=f"T{state.index}")
         # Backdate the start so the resumed attempt's events land exactly
@@ -671,13 +455,13 @@ class _BlockRun:
             pass
         else:  # pragma: no cover
             raise SchedulingError(f"unexpected event {event!r}")
-        if state.merge_self_abort is not None and state.status is _Status.RUNNING:
+        if state.merge_self_abort is not None and state.status is Status.RUNNING:
             key = state.merge_self_abort
             state.merge_self_abort = None
             self._abort(state.index, key)
         # The event handler may have aborted this very transaction through a
         # cascade; never advance a dead generator.
-        if state.status is _Status.RUNNING and state.generator is not None:
+        if state.status is Status.RUNNING and state.generator is not None:
             self._advance(state, to_send)
 
     # ------------------------------------------------------------------
@@ -688,8 +472,7 @@ class _BlockRun:
         key = event.key
         if key in state.w_abs:
             return state.w_abs[key]
-        blind_pcs, _incs, _rel = self._contract_info(state.tx.to)
-        seq = self.sequences.get(key)
+        blind_pcs = self._contract_info(state.tx.to)[0]
         if (
             self.ex.enable_commutative
             and event.pc in blind_pcs
@@ -697,6 +480,7 @@ class _BlockRun:
         ):
             # Blind increment read: the value feeds only the paired +=, so
             # it needs no lock, registers no dependency, and cannot abort.
+            seq = self.sequences.get(key)
             version = -1
             from_own = False
             if key in state.w_delta:
@@ -709,7 +493,7 @@ class _BlockRun:
             else:
                 answer = self.snapshot.get(key)
             state.pending_blind[key] = (answer, event.pc, len(state.read_log))
-            state.read_log.append(_ReadRecord(
+            state.read_log.append(ReadRecord(
                 key=key, base=answer, version_from=version,
                 registered=False, blind=True, from_own_delta=from_own,
             ))
@@ -718,85 +502,63 @@ class _BlockRun:
                                    attempt=state.attempts, blind=True)
             return answer
 
-        if self.merges is not None:
-            spec = self.merges.lookup(key)
-            if spec is not None and spec.op.delta_encodable:
-                return self._on_merge_read(state, event, seq, spec)
+        spec = self.merges.lookup(key) if self.merges is not None else None
+        if spec is not None and spec.op.delta_encodable:
+            # Read of a declared ADD/SUB merge key: never blocks.  The
+            # declaration promises the value feeds only the declared guard
+            # and operation, so the read is answered from the best fold
+            # available right now and validated later by guard *outcome*
+            # instead of exact value (see _validate_reads /
+            # _may_skip_abort).  It is still registered in the access
+            # sequence so on-the-fly version insertions find it and trigger
+            # the outcome recheck.
+            if self.ex.enable_checkpoint_resume:
+                self._maybe_checkpoint(state, event)
+            own = state.w_delta.get(key, 0)
+            base, _writer = self._registered_read(
+                state, key, merge_spec=spec, merge_own=own)
+            value = (base + own) % WORD_MOD
+            state.registered_reads[key] = value
+            return value
 
-        # Registered read: resolve the proper version (blocking resolution
-        # degraded to best-available for accesses the analysis missed).
-        if seq is None:
-            seq = self.sequences.sequence(key)
         if self.ex.enable_checkpoint_resume:
             self._maybe_checkpoint(state, event)
-        speculative = False
-        resolution = seq.resolve_read(state.index)
-        if not resolution.ready:
-            resolution = seq.best_available_read(state.index)
-            state.speculative_reads += 1
-            speculative = True
-        base = resolution.resolve_with_snapshot(self.snapshot.get(key))
+        base, writer = self._registered_read(state, key)
         if key in state.w_delta:
             # Own pending increments fold in; the write becomes absolute.
             value = (base + state.w_delta.pop(key)) % WORD_MOD
             state.w_abs[key] = value
         else:
             value = base
-        seq.record_read(state.index, resolution.version_from)
         state.registered_reads[key] = value
-        state.read_log.append(_ReadRecord(
-            key=key, base=base, version_from=resolution.version_from,
-            registered=True, speculative=speculative,
-        ))
         if self.obs is not None:
-            writer = resolution.version_from
-            if writer >= 0 and self.states[writer].status is not _Status.DONE:
+            if writer >= 0 and self.states[writer].status is not Status.DONE:
                 self.obs.early_read(self.loop.now, state.index, key, writer)
-        if self.recorder is not None:
-            self._record_read(state, key, resolution, base, speculative)
         return value
 
-    def _on_merge_read(self, state: _TxState, event: StorageRead, seq, spec) -> int:
-        """Read of a declared ADD/SUB merge key: never blocks.
-
-        The declaration promises the value feeds only the declared guard and
-        operation, so the read is answered from the best fold available right
-        now and validated later by guard *outcome* instead of exact value
-        (see _validate_reads / _merge_skip_abort).  The read is still
-        registered in the access sequence so on-the-fly version insertions
-        find it and trigger the outcome recheck.
-        """
-        key = event.key
-        if seq is None:
-            seq = self.sequences.sequence(key)
-        if self.ex.enable_checkpoint_resume:
-            self._maybe_checkpoint(state, event)
-        speculative = False
-        resolution = seq.resolve_read(state.index)
-        if not resolution.ready:
-            resolution = seq.best_available_read(state.index)
+    def _registered_read(self, state: _TxState, key: StateKey,
+                         merge_spec=None, merge_own: int = 0) -> Tuple[int, int]:
+        """Resolve, register and log one versioned read (blocking resolution
+        degraded to best-available for accesses the analysis missed);
+        returns (base value, writer version)."""
+        seq = self.sequences.sequence(key)
+        resolution, speculative = self._resolve(seq, state.index)
+        if speculative:
             state.speculative_reads += 1
-            speculative = True
         base = resolution.resolve_with_snapshot(self.snapshot.get(key))
-        own = state.w_delta.get(key, 0)
-        value = (base + own) % WORD_MOD
-        seq.record_read(state.index, resolution.version_from)
-        state.registered_reads[key] = value
-        state.read_log.append(_ReadRecord(
-            key=key, base=base, version_from=resolution.version_from,
+        writer = resolution.version_from
+        seq.record_read(state.index, writer)
+        state.read_log.append(ReadRecord(
+            key=key, base=base, version_from=writer,
             registered=True, speculative=speculative,
-            merge_spec=spec, merge_own=own,
+            merge_spec=merge_spec, merge_own=merge_own,
         ))
         if self.recorder is not None:
-            self._record_read(state, key, resolution, base, speculative)
-        return value
-
-    def _record_read(self, state, key, resolution, base, speculative) -> None:
-        writer = resolution.version_from
-        early = writer >= 0 and self.states[writer].status is not _Status.DONE
-        self.recorder.read(state.index, key, writer, base,
-                           attempt=state.attempts, early=early,
-                           speculative=speculative)
+            early = writer >= 0 and self.states[writer].status is not Status.DONE
+            self.recorder.read(state.index, key, writer, base,
+                               attempt=state.attempts, early=early,
+                               speculative=speculative)
+        return base, writer
 
     def _maybe_checkpoint(self, state: _TxState, event: StorageRead) -> None:
         """Capture a resume point at this read boundary, if due.
@@ -845,7 +607,7 @@ class _BlockRun:
         pending = state.pending_blind.pop(key, None)
         if pending is not None and self.ex.enable_commutative and key not in state.w_abs:
             answer, read_pc, log_index = pending
-            _blind, increments, _rel = self._contract_info(state.tx.to)
+            increments = self._contract_info(state.tx.to)[1]
             if increments.get(event.pc) == read_pc:
                 delta = (event.value - answer) % WORD_MOD
                 state.w_delta[key] = (state.w_delta.get(key, 0) + delta) % WORD_MOD
@@ -887,7 +649,7 @@ class _BlockRun:
         # operation itself, and under the declaration both share the
         # operand.  An empty group means a write without a fresh read
         # (a second op reusing one read) — not the declared shape.
-        group: List[_ReadRecord] = []
+        group: List[ReadRecord] = []
         for rec in reversed(state.read_log):
             if rec.key != key or rec.merge_spec is None:
                 continue
@@ -918,7 +680,7 @@ class _BlockRun:
                 for rec in group:
                     if not rec.merge_recheck:
                         continue
-                    if view[0] == rec.base or self._merge_outcome_stable(rec, view[0]):
+                    if view[0] == rec.base or rec.tolerates(view[0]):
                         rec.merge_recheck = False
                     else:
                         state.merge_self_abort = key
@@ -938,23 +700,9 @@ class _BlockRun:
         elif self.ex.enable_commutative:
             state.w_delta[key] = (state.w_delta.get(key, 0) + event.delta) % WORD_MOD
         else:
-            seq = self.sequences.sequence(key)
-            speculative = False
-            resolution = seq.resolve_read(state.index)
-            if not resolution.ready:
-                resolution = seq.best_available_read(state.index)
-                state.speculative_reads += 1
-                speculative = True
-            base = resolution.resolve_with_snapshot(self.snapshot.get(key))
-            seq.record_read(state.index, resolution.version_from)
+            base, _writer = self._registered_read(state, key)
             state.registered_reads[key] = base
-            state.read_log.append(_ReadRecord(
-                key=key, base=base, version_from=resolution.version_from,
-                registered=True, speculative=speculative,
-            ))
             state.w_abs[key] = (base + event.delta) % WORD_MOD
-            if self.recorder is not None:
-                self._record_read(state, key, resolution, base, speculative)
 
     # ------------------------------------------------------------------
     # Early write visibility (Algorithm 2)
@@ -963,8 +711,7 @@ class _BlockRun:
     def _on_release_point(self, state: _TxState, event: Watchpoint) -> None:
         if not self.ex.enable_early_write:
             return
-        self._contract_info(state.tx.to)  # ensure bounds cache is populated
-        bound = self._release_bounds[state.tx.to].get(event.pc)
+        bound = self._contract_info(state.tx.to)[3].get(event.pc)
         released = self.ex.release_gas_check(state.csag, event, bound)
         if self.obs is not None:
             self.obs.release_point(self.loop.now, state.index, event.pc,
@@ -1009,49 +756,6 @@ class _BlockRun:
             if state.published.get(key) != ("delta", state.w_delta[key]):
                 self._publish(state, key, "delta", state.w_delta[key])
 
-    def _publish(self, state: _TxState, key: StateKey, kind: str, value: int) -> None:
-        seq = self.sequences.sequence(key)
-        if self.recorder is not None:
-            # _complete flips status to DONE before publishing leftovers, so
-            # RUNNING here means mid-transaction (release-point) visibility.
-            self.recorder.publish(state.index, key, kind, value,
-                                  early=state.status is _Status.RUNNING)
-        if kind == "abs":
-            allowed, aborted = seq.version_write(state.index, value=value)
-        else:
-            allowed, aborted = seq.version_write(state.index, delta=value)
-        state.published[key] = (kind, value)
-        self.ever_written[state.index].add(key)
-        self._handle_wake_and_abort(key, allowed, aborted, writer=state.index)
-
-    def _handle_wake_and_abort(
-        self, key: StateKey, allowed: List[int], aborted: List[int],
-        writer: int = -1,
-    ) -> None:
-        for victim in aborted:
-            if self._merge_skip_abort(victim, key):
-                continue
-            self._abort(victim, key, writer=writer)
-        seq = self.sequences.sequence(key)
-        for index in sorted(set(allowed) | set(aborted)):
-            target = self.states[index]
-            if target.status in (_Status.WAITING,):
-                if seq.resolve_read(index).ready:
-                    became_ready = self.locks.grant(index, key)
-                    if became_ready or self.locks.is_ready(index):
-                        if target.status is _Status.WAITING:
-                            target.status = _Status.READY
-                            self.queue.push(index)
-                            if self.obs is not None:
-                                now = self.loop.now
-                                self.obs.version_wait_end(
-                                    now, index, key=key, granted_by=writer)
-                                self.obs.tx_ready(
-                                    now, index, attempt=target.attempts + 1)
-                            self._schedule_dispatch()
-            else:
-                self.locks.grant(index, key)
-
     def _merge_deferred_invalid(self, state: _TxState) -> Optional[StateKey]:
         """Settle any merge records whose abort was deferred while their
         operand was unknown; returns the first key that fails (outcome drift
@@ -1068,11 +772,11 @@ class _BlockRun:
                 return rec.key
             if view[0] == rec.base:
                 continue
-            if not self._merge_outcome_stable(rec, view[0]):
+            if not rec.tolerates(view[0]):
                 return rec.key
         return None
 
-    def _merge_skip_abort(self, victim: int, key: StateKey) -> bool:
+    def _may_skip_abort(self, victim: int, key: StateKey) -> bool:
         """Outcome-stable abort tolerance (the merge algebra's payoff).
 
         When a late-arriving version of a declared merge key would abort a
@@ -1095,9 +799,9 @@ class _BlockRun:
         seq = self.sequences.get(key)
         if seq is None:
             return False
-        running = state.status is _Status.RUNNING
+        running = state.status is Status.RUNNING
         view = seq.current_read_view(victim, self.snapshot.get(key))
-        deferred: List[_ReadRecord] = []
+        deferred: List[ReadRecord] = []
         for rec in records:
             if rec.merge_operand is None:
                 if running:
@@ -1109,7 +813,7 @@ class _BlockRun:
                 return False
             if view is None:
                 return False
-            if view[0] != rec.base and not self._merge_outcome_stable(rec, view[0]):
+            if view[0] != rec.base and not rec.tolerates(view[0]):
                 return False
         for rec in deferred:
             rec.merge_recheck = True
@@ -1123,7 +827,6 @@ class _BlockRun:
     # ------------------------------------------------------------------
 
     def _complete(self, state: _TxState, result: TxResult) -> None:
-        now = self.loop.now
         state.pending_entry = None
         if self.merges is not None:
             stale = self._merge_deferred_invalid(state)
@@ -1133,259 +836,56 @@ class _BlockRun:
                 # conflict; the generator is already exhausted.
                 self._abort(state.index, stale)
                 return
-        self.pool.release(state.thread, now)
+        self.pool.release(state.thread, self.loop.now)
         state.thread = None
-        state.status = _Status.DONE
-        state.result = result
-        self.per_tx[state.index].end_time = now
-        self.per_tx[state.index].gas_used = result.gas_used
-        self.per_tx[state.index].succeeded = result.success
-        self.per_tx[state.index].attempts = state.attempts
         if state.meter is not None:
             self.per_tx[state.index].instructions_executed += state.meter.steps_executed
             state.meter = None
-        self.per_tx[state.index].instructions_final = result.steps
-
-        if result.success:
-            for key, value in state.w_abs.items():
-                if state.published.get(key) != ("abs", value):
-                    self._publish(state, key, "abs", value)
-            for key, delta in state.w_delta.items():
-                if state.published.get(key) != ("delta", delta):
-                    self._publish(state, key, "delta", delta)
-        else:
-            self._retract_published(state)
-        if self.obs is not None:
-            self.obs.tx_end(now, state.index, attempt=state.attempts,
-                            success=result.success,
-                            gas_used=result.gas_used)
-        if self.recorder is not None:
-            self.recorder.complete(state.index, attempt=state.attempts,
-                                   success=result.success,
-                                   gas_used=result.gas_used)
-
-        # Predicted writes that never materialised are marked skipped so
-        # transactions waiting on them unblock (divergent path / failure).
-        # The same applies to keys this transaction published in *earlier
-        # attempts*: an entry inserted on the fly back then may now be a
-        # write the current path never performs.
-        pending_write_keys = set(self.ever_written[state.index])
-        for key, access_type in state.csag.per_key.items():
-            if self._declared(access_type) is not AccessType.READ:
-                pending_write_keys.add(key)
-        for key in pending_write_keys:
-            if key in state.published:
-                continue
-            seq = self.sequences.sequence(key)
-            entry = seq.entry(state.index)
-            if entry is not None and entry.has_write_part and not entry.write_finished:
-                allowed, _ = seq.version_write(state.index, skipped=True)
-                self._handle_wake_and_abort(key, allowed, [], writer=state.index)
+        self._finish_attempt(state, result, state.w_abs, state.w_delta)
         self._schedule_dispatch()
 
     # ------------------------------------------------------------------
     # Abort (Algorithm 4)
     # ------------------------------------------------------------------
 
-    def _abort(self, index: int, trigger_key: StateKey, writer: int = -1) -> None:
-        state = self.states[index]
-        now = self.loop.now
-        if state.aborting:
-            # A suffix-retraction cascade circled back to the transaction
-            # being aborted.  Flag it — the outer call checks the flag and
-            # degrades to a full restart — and let that call finish.
-            state.abort_reentered = True
-            return
-        if self.recorder is not None:
-            self.recorder.abort(index, attempt=max(state.attempts, 1),
-                                key=trigger_key)
-        if self.obs is not None:
-            self.obs.tx_abort(now, index, attempt=max(state.attempts, 1),
-                              key=trigger_key, writer=writer)
+    def _unwind(self, state: _TxState, running: bool) -> None:
+        """Stop the event-stepped attempt, then salvage what a checkpoint
+        allows: retract only the writes published after it and park the
+        transaction to resume from there; else restart from scratch."""
+        if running:
+            if state.pending_entry is not None:
+                self.loop.cancel(state.pending_entry)
+                state.pending_entry = None
+            if state.generator is not None:
+                state.generator.close()
+                state.generator = None
+            if state.meter is not None:
+                self.per_tx[state.index].instructions_executed += state.meter.steps_executed
+                state.meter = None
+            self.pool.release(state.thread, self.loop.now)
+            state.thread = None
+        # Aborted again while parked for a resume: the plan below is
+        # recomputed against the (already truncated) log, so just drop the
+        # stale one.
+        state.resume_from = None
 
-        # Revalidation fast path: a completed successful attempt whose whole
-        # read log still resolves to the same values remains serializable —
-        # reinstate its result as a fresh attempt with zero re-execution.
-        if (
-            self.ex.enable_revalidation
-            and state.status is _Status.DONE
-            and state.result is not None
-            and state.result.success
-            and self._try_revalidate(state)
-        ):
-            return
-
-        if state.resume_from is not None:
-            # Aborted again while parked for a resume: the plan below is
-            # recomputed against the (already truncated) log, so just drop
-            # the stale one.
-            state.resume_from = None
-
-        state.aborting = True
-        state.abort_reentered = False
-        try:
-            if state.status is _Status.READY:
-                self.queue.remove(index)
-            elif state.status is _Status.RUNNING:
-                if state.pending_entry is not None:
-                    self.loop.cancel(state.pending_entry)
-                    state.pending_entry = None
-                if state.generator is not None:
-                    state.generator.close()
-                    state.generator = None
-                if state.meter is not None:
-                    self.per_tx[index].instructions_executed += state.meter.steps_executed
-                    state.meter = None
-                self.pool.release(state.thread, now)
-                state.thread = None
-            elif state.status is _Status.DONE:
-                state.result = None
-            elif state.status is _Status.WAITING:
-                # Nothing consumed yet in the *current* attempt; but a previous
-                # attempt's reads may still be recorded — fall through to reset.
-                pass
-
-            state.status = _Status.WAITING
-            self.per_tx[index].aborted_times += 1
-
-            plan = None
-            if self.ex.enable_checkpoint_resume and state.checkpoints:
-                plan = self._plan_resume(state)
-            if plan is not None:
-                # Retract only what came after the checkpoint; if the
-                # cascade came back to bite us, or shifted the kept prefix,
-                # fall back to retracting everything.
-                self._retract_suffix(state, plan)
-                if state.abort_reentered or self._prefix_invalid(state, plan):
-                    plan = None
-            if plan is not None:
-                self._arm_resume(state, plan)
-            else:
-                # Full restart: retract whatever this transaction made
-                # visible (cascades) and clear its recorded reads so future
-                # writes don't re-abort a transaction already re-executing.
-                self._retract_published(state)
-                for key in state.registered_reads:
-                    seq = self.sequences.get(key)
-                    if seq is not None:
-                        entry = seq.entry(index)
-                        if entry is not None:
-                            entry.reset_read()
-                state.reset_attempt()
-        finally:
-            state.aborting = False
-
-        self.locks.release_all(index)
-        if self.locks.refresh(index, self.sequences):
-            state.status = _Status.READY
-            self.queue.push(index)
-            if self.obs is not None:
-                self.obs.tx_ready(now, index, attempt=state.attempts + 1)
-            self._schedule_dispatch()
-        elif self.obs is not None:
-            keys, blockers = self._wait_info(index)
-            self.obs.version_wait_begin(now, index, keys=keys,
-                                        blockers=blockers)
+        plan = None
+        if self.ex.enable_checkpoint_resume and state.checkpoints:
+            plan = self._plan_resume(state)
+        if plan is not None:
+            # If the suffix retraction's cascade came back to bite us, or
+            # shifted the kept prefix, fall back to retracting everything.
+            self._retract_published(state, keep=plan.checkpoint.published)
+            if state.abort_reentered or self._prefix_invalid(state, plan):
+                plan = None
+        if plan is not None:
+            self._arm_resume(state, plan)
+        else:
+            self._restart(state)
 
     # ------------------------------------------------------------------
     # Incremental re-execution: validation, revalidation, resume
     # ------------------------------------------------------------------
-
-    def _validate_reads(
-        self, state: _TxState, limit: int
-    ) -> Tuple[Optional[int], List[int]]:
-        """Re-resolve the first ``limit`` read-log records against the live
-        access sequences.  Returns the index of the first record whose value
-        changed (or None when every record still holds) plus the re-resolved
-        version for each record of the valid prefix."""
-        versions: List[int] = []
-        for i, rec in enumerate(state.read_log[:limit]):
-            if rec.blind:
-                # Blind increment reads are value-insensitive (_ReadRecord):
-                # the driver publishes the delta, not the absolute.
-                versions.append(rec.version_from)
-                continue
-            seq = self.sequences.get(rec.key)
-            if seq is None:
-                return i, versions
-            view = seq.current_read_view(state.index, self.snapshot.get(rec.key))
-            if view is None:
-                return i, versions
-            if view[0] != rec.base and not self._merge_outcome_stable(rec, view[0]):
-                return i, versions
-            versions.append(view[1])
-        return None, versions
-
-    @staticmethod
-    def _merge_outcome_stable(rec: _ReadRecord, new_base: int) -> bool:
-        """Whether a merge record tolerates its base drifting to
-        ``new_base``: the declared guard must reach the same verdict on the
-        observed value it would now see.  Records without an operand (the
-        guard failed, or the op never ran) demand exact equality."""
-        if rec.merge_spec is None or rec.merge_operand is None:
-            return False
-        old_value = (rec.base + rec.merge_own) % WORD_MOD
-        new_value = (new_base + rec.merge_own) % WORD_MOD
-        return (rec.merge_spec.outcome(old_value, rec.merge_operand)
-                == rec.merge_spec.outcome(new_value, rec.merge_operand))
-
-    def _rerecord_reads(
-        self, state: _TxState, records: List[_ReadRecord], versions: List[int]
-    ) -> None:
-        """Re-anchor the recorded read dependencies to the versions they
-        resolve to *now* (record_read keeps the oldest version, so the stale
-        registration must be reset first)."""
-        for key in {r.key for r in records if r.registered}:
-            seq = self.sequences.get(key)
-            if seq is not None:
-                entry = seq.entry(state.index)
-                if entry is not None:
-                    entry.reset_read()
-        for rec, version in zip(records, versions):
-            if rec.registered:
-                self.sequences.sequence(rec.key).record_read(state.index, version)
-                rec.version_from = version
-
-    def _reemit_reads(
-        self, state: _TxState, records: List[_ReadRecord], versions: List[int]
-    ) -> None:
-        """Emit the kept reads into the trace under the new attempt number so
-        the serializability oracle sees the attempt's true dependencies."""
-        if self.recorder is None:
-            return
-        for rec, version in zip(records, versions):
-            if rec.blind:
-                self.recorder.read(state.index, rec.key, version, rec.base,
-                                   attempt=state.attempts, blind=True)
-            else:
-                early = (version >= 0
-                         and self.states[version].status is not _Status.DONE)
-                self.recorder.read(state.index, rec.key, version, rec.base,
-                                   attempt=state.attempts, early=early,
-                                   speculative=rec.speculative)
-
-    def _try_revalidate(self, state: _TxState) -> bool:
-        first_invalid, versions = self._validate_reads(state, len(state.read_log))
-        if first_invalid is not None:
-            return False
-        state.attempts += 1
-        per = self.per_tx[state.index]
-        per.attempts = state.attempts
-        per.aborted_times += 1
-        per.revalidation_hits += 1
-        skipped = state.result.steps
-        per.instructions_skipped += skipped
-        self._rerecord_reads(state, state.read_log, versions)
-        if self.obs is not None:
-            self.obs.revalidation_hit(self.loop.now, state.index,
-                                      attempt=state.attempts,
-                                      instructions_skipped=skipped)
-        self._reemit_reads(state, state.read_log, versions)
-        if self.recorder is not None:
-            self.recorder.complete(state.index, attempt=state.attempts,
-                                   success=True,
-                                   gas_used=state.result.gas_used)
-        return True
 
     def _plan_resume(self, state: _TxState) -> Optional[_ResumePlan]:
         """Find the newest checkpoint at or before the first invalidated
@@ -1405,65 +905,19 @@ class _BlockRun:
         plan.prefix_versions = versions
         return False
 
-    def _retract_suffix(self, state: _TxState, plan: _ResumePlan) -> None:
-        """Retract only the writes published after ``plan.checkpoint``.
-
-        A key the kept prefix had already published (with an older value)
-        gets that value reinstated — retract then republish — so prefix
-        readers can revalidate against the identical value instead of
-        cascading into full restarts.
-        """
-        keep = plan.checkpoint.published
-        published = list(state.published.items())
-        state.published = dict(keep)
-        for key, current in published:
-            kept = keep.get(key)
-            if kept == current:
-                continue  # unchanged since the checkpoint: leave it in place
-            seq = self.sequences.get(key)
-            if seq is None:
-                continue
-            victims = seq.retract(state.index)
-            if self.recorder is not None:
-                self.recorder.retract(
-                    state.index, key,
-                    tuple(v for v in victims if v != state.index),
-                )
-            allowed: List[int] = []
-            aborted: List[int] = []
-            if kept is not None:
-                kind, value = kept
-                if self.recorder is not None:
-                    self.recorder.publish(state.index, key, kind, value,
-                                          early=True)
-                if kind == "abs":
-                    allowed, aborted = seq.version_write(state.index, value=value)
-                else:
-                    allowed, aborted = seq.version_write(state.index, delta=value)
-            for victim in victims:
-                if victim != state.index and not self._merge_skip_abort(victim, key):
-                    self._abort(victim, key, writer=state.index)
-            if kept is not None:
-                self._handle_wake_and_abort(key, allowed, aborted,
-                                            writer=state.index)
-
     def _arm_resume(self, state: _TxState, plan: _ResumePlan) -> None:
         """Park the transaction with a restored checkpoint image; the next
         _start resumes the VM instead of re-executing from scratch."""
         ck = plan.checkpoint
-        index = state.index
         # Reads that exist only in the discarded suffix lose their recorded
         # dependency; keys also read in the kept prefix keep their entry
         # (the prefix re-record at start refreshes its version).
         prefix_keys = {r.key for r in state.read_log[: ck.read_index]
                        if r.registered}
-        for rec in state.read_log[ck.read_index:]:
-            if rec.registered and rec.key not in prefix_keys:
-                seq = self.sequences.get(rec.key)
-                if seq is not None:
-                    entry = seq.entry(index)
-                    if entry is not None:
-                        entry.reset_read()
+        self._reset_reads(state.index, {
+            rec.key for rec in state.read_log[ck.read_index:]
+            if rec.registered and rec.key not in prefix_keys
+        })
         del state.read_log[ck.read_index:]
         for rec in state.read_log:
             if rec.merge_operand is not None and rec.merge_attached_at > ck.read_index:
@@ -1484,20 +938,3 @@ class _BlockRun:
         state.meter = None
         state.pending_entry = None
         state.resume_from = plan
-
-    def _retract_published(self, state: _TxState) -> None:
-        published = list(state.published)
-        state.published = {}
-        for key in published:
-            seq = self.sequences.get(key)
-            if seq is None:
-                continue
-            victims = seq.retract(state.index)
-            if self.recorder is not None:
-                self.recorder.retract(
-                    state.index, key,
-                    tuple(v for v in victims if v != state.index),
-                )
-            for victim in victims:
-                if victim != state.index and not self._merge_skip_abort(victim, key):
-                    self._abort(victim, key, writer=state.index)

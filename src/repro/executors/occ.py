@@ -27,65 +27,13 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.types import StateKey
 from ..evm.environment import BlockContext
-from ..evm.events import (
-    FrameCheckpoint,
-    FrameCommit,
-    FrameRevert,
-    StorageRead,
-    StorageWrite,
-)
 from ..sim.metrics import TxMetrics
 from ..state.statedb import Snapshot
-from .base import BlockExecution, Executor, Receipt
-from .txprogram import StorageIncrement, TxResult, transaction_program
-
-SNAPSHOT_WRITER = -1
-
-
-class _TimedVersionStore:
-    """Speculative writes with publish timestamps."""
-
-    def __init__(self, snapshot: Snapshot) -> None:
-        self._snapshot = snapshot
-        # key -> {writer index: (value, publish_time)}
-        self._writes: Dict[StateKey, Dict[int, Tuple[int, float]]] = {}
-
-    def read(
-        self, key: StateKey, index: int, before: Optional[float] = None
-    ) -> Tuple[int, int]:
-        """Latest version by a writer < ``index`` visible at time ``before``
-        (no time bound when ``before`` is None).  Returns (value, writer)."""
-        versions = self._writes.get(key)
-        best_writer = SNAPSHOT_WRITER
-        best_value = 0
-        if versions:
-            for writer, (value, published) in versions.items():
-                if writer >= index or writer <= best_writer:
-                    continue
-                if before is not None and published > before:
-                    continue
-                best_writer = writer
-                best_value = value
-        if best_writer == SNAPSHOT_WRITER:
-            return self._snapshot.get(key), SNAPSHOT_WRITER
-        return best_value, best_writer
-
-    def publish(self, index: int, writes: Dict[StateKey, int], time: float) -> None:
-        for key, value in writes.items():
-            self._writes.setdefault(key, {})[index] = (value, time)
-
-    def retract(self, index: int, keys) -> None:
-        for key in keys:
-            versions = self._writes.get(key)
-            if versions is not None:
-                versions.pop(index, None)
-
-    def final_writes(self) -> Dict[StateKey, int]:
-        return {
-            key: versions[max(versions)][0]
-            for key, versions in self._writes.items()
-            if versions
-        }
+from .base import (
+    SNAPSHOT_WRITER, BlockExecution, Executor, Receipt, VersionStore,
+)
+from .serial import run_tx_serially
+from .txprogram import TxResult
 
 
 class OCCExecutor(Executor):
@@ -94,17 +42,11 @@ class OCCExecutor(Executor):
     name = "occ"
 
     def __init__(self, gas_time_scale: float = 1.0, max_rounds: int = 10_000,
-                 seed_views: bool = True, psag_cache=None) -> None:
+                 psag_cache=None) -> None:
         super().__init__(gas_time_scale)
         self.max_rounds = max_rounds
-        # Real-substrate view seeding (PR-8 follow-up): resolve the static
-        # P-SAG access sites per transaction and ship that key set with the
-        # first dispatch, instead of discovering every key through the
-        # NeedKeys → widen → re-dispatch loop.  OCC semantics are
-        # unchanged — a seeded view only changes how many round-trips the
-        # first attempt costs; ``bench_scheduling``/``bench_substrates``
-        # count ``view_misses`` with the seeding on and off.
-        self.seed_views = seed_views
+        # The P-SAGs that seed real-substrate dispatch views (see
+        # run_occ_real); the simulator path never consults them.
         if psag_cache is None:
             from ..analysis.sag import PSAGCache
             psag_cache = PSAGCache()
@@ -128,7 +70,7 @@ class OCCExecutor(Executor):
         count = len(txs)
         recorder = self.recorder
         obs = self.obs
-        store = _TimedVersionStore(snapshot)
+        store = VersionStore(snapshot)
         results: List[Optional[TxResult]] = [None] * count
         read_versions: List[Dict[StateKey, Tuple[int, int]]] = [{} for _ in range(count)]
         write_keys: List[Set[StateKey]] = [set() for _ in range(count)]
@@ -171,9 +113,11 @@ class OCCExecutor(Executor):
                         obs.tx_ready(clock, index, attempt=attempts[index])
                     obs.tx_start(start, index, attempt=attempts[index],
                                  thread=tid)
-                result, writes, reads = _speculative_run(
-                    txs[index], index, store, code_resolver, block, before=start,
-                    recorder=recorder, attempt=attempts[index],
+                reader, reads, seen = store.reader_for(index, before=start)
+                result, writes = run_tx_serially(
+                    txs[index], reader, code_resolver, block,
+                    recorder=recorder, index=index, versions=seen,
+                    attempt=attempts[index],
                 )
                 end = start + result.gas_used * self.gas_time_scale
                 results[index] = result
@@ -249,64 +193,3 @@ class OCCExecutor(Executor):
             writes=store.final_writes(), receipts=receipts, metrics=metrics
         )
 
-
-def _speculative_run(
-    tx, index: int, store: _TimedVersionStore, code_resolver, block, before: float,
-    recorder=None, attempt: int = 1,
-) -> Tuple[TxResult, Dict[StateKey, int], Dict[StateKey, Tuple[int, int]]]:
-    """One optimistic execution against the versions visible at ``before``.
-
-    Returns (result, write set, observed (value, writer) per key read).
-    """
-    local: Dict[StateKey, int] = {}
-    undo: List[Tuple[StateKey, Optional[int]]] = []
-    checkpoints: List[int] = []
-    reads: Dict[StateKey, Tuple[int, int]] = {}
-
-    def read(key: StateKey, blind: bool = False) -> int:
-        if key in local:
-            return local[key]
-        value, writer = store.read(key, index, before=before)
-        reads.setdefault(key, (value, writer))
-        if recorder is not None:
-            recorder.read(index, key, writer, value, attempt=attempt, blind=blind)
-        return value
-
-    def write(key: StateKey, value: int) -> None:
-        undo.append((key, local.get(key)))
-        local[key] = value
-
-    program = transaction_program(tx, code_resolver, block=block)
-    to_send: object = None
-    while True:
-        try:
-            event = program.send(to_send)
-        except StopIteration as stop:
-            result: TxResult = stop.value
-            break
-        to_send = None
-        if isinstance(event, StorageRead):
-            to_send = read(event.key)
-        elif isinstance(event, StorageWrite):
-            write(event.key, event.value)
-            if recorder is not None:
-                recorder.write(index, event.key, value=event.value, attempt=attempt)
-        elif isinstance(event, StorageIncrement):
-            write(event.key, read(event.key, blind=True) + event.delta)
-            if recorder is not None:
-                recorder.write(index, event.key, delta=event.delta, attempt=attempt)
-        elif isinstance(event, FrameCheckpoint):
-            checkpoints.append(len(undo))
-            to_send = len(checkpoints)
-        elif isinstance(event, FrameCommit):
-            checkpoints.pop()
-        elif isinstance(event, FrameRevert):
-            token = checkpoints.pop()
-            while len(undo) > token:
-                key, previous = undo.pop()
-                if previous is None:
-                    local.pop(key, None)
-                else:
-                    local[key] = previous
-    writes = dict(local) if result.success else {}
-    return result, writes, reads

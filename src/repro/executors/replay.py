@@ -11,26 +11,23 @@ aborts or speculates.  The output must be byte-identical to the fresh
 speculative execution — ``Validator.import_block(..., schedule=...)``
 still verifies the sealed state root.
 
-On real substrates the schedule's realized read/write key sets double as
-the dispatch views, so workers replay with zero view misses (see
-``run_replay_real`` in :mod:`repro.substrate.coordinator`).
+The gating loop itself is the fork-join runner shared with the DAG
+baseline (:func:`repro.executors.dag.run_fork_join`); this module only
+validates the artifact and hands over its predecessor sets.  On real
+substrates the schedule's realized key sets double as the dispatch views,
+so workers replay with zero view misses, and a crashed worker's
+transactions re-dispatch with identical views.
 """
 
 from __future__ import annotations
 
-import heapq
-from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..core.types import StateKey
 from ..evm.environment import BlockContext
 from ..scheduling.schedule import Schedule
-from ..sim.clock import EventLoop
-from ..sim.metrics import TxMetrics
-from ..sim.threadpool import ThreadPool
 from ..state.statedb import Snapshot
-from .base import BlockExecution, Executor, Receipt
-from .dag import _run_to_completion
+from .base import BlockExecution, Executor
+from .dag import run_fork_join
 
 
 class ScheduleReplayExecutor(Executor):
@@ -52,117 +49,16 @@ class ScheduleReplayExecutor(Executor):
         block: Optional[BlockContext] = None,
     ) -> BlockExecution:
         """Execute ``txs`` along the sealed schedule; see Executor."""
-        schedule = self.schedule
-        if schedule.tx_count != len(txs):
+        entries = self.schedule.entries
+        if self.schedule.tx_count != len(txs):
             raise ValueError(
-                f"schedule covers {schedule.tx_count} transactions, "
+                f"schedule covers {self.schedule.tx_count} transactions, "
                 f"block has {len(txs)}"
             )
-        pool = self._substrate_pool(threads)
-        if pool is not None:
-            from ..substrate.coordinator import run_replay_real
-            return run_replay_real(self, pool, txs, snapshot, code_resolver,
-                                   block, schedule, threads=threads)
-        wall_start = perf_counter()
-        deps = [set(e.preds) for e in schedule.entries]
-        dependents: List[List[int]] = [[] for _ in txs]
-        remaining = [len(d) for d in deps]
-        for j, dset in enumerate(deps):
-            for i in dset:
-                dependents[i].append(j)
-
-        obs = self.obs
-        loop = EventLoop()
-        sim_pool = ThreadPool(threads, obs=obs)
-        if obs is not None:
-            obs.block_start(0.0, scheduler=self.name, threads=threads,
-                            tx_count=len(txs))
-        versions: Dict[StateKey, List[Tuple[int, int]]] = {}
-        ready: List[int] = []
-        receipts: List[Optional[Receipt]] = [None] * len(txs)
-        per_tx: List[TxMetrics] = [TxMetrics(index=i) for i in range(len(txs))]
-
-        def resolver_for(index: int):
-            def resolve(key: StateKey) -> Tuple[int, int]:
-                best: Optional[Tuple[int, int]] = None
-                for writer, value in versions.get(key, ()):
-                    if writer < index and (best is None or writer > best[0]):
-                        best = (writer, value)
-                if best is not None:
-                    return best[1], best[0]
-                return snapshot.get(key), -1
-
-            return resolve
-
-        def dispatch() -> None:
-            while ready and sim_pool.idle_count:
-                index = heapq.heappop(ready)
-                thread = sim_pool.try_occupy(loop.now, label=f"T{index}")
-                assert thread is not None
-                start = loop.now
-                if obs is not None:
-                    obs.tx_start(start, index, thread=thread)
-                result, writes = _run_to_completion(
-                    txs[index], resolver_for(index), code_resolver, block,
-                    recorder=self.recorder, index=index,
-                )
-                end = start + result.gas_used * self.gas_time_scale
-                per_tx[index].start_time = start
-                per_tx[index].gas_used = result.gas_used
-                per_tx[index].succeeded = result.success
-
-                def complete(index=index, thread=thread, result=result,
-                             writes=writes, end=end) -> None:
-                    if result.success:
-                        for key, value in writes.items():
-                            versions.setdefault(key, []).append((index, value))
-                            if self.recorder is not None:
-                                self.recorder.publish(index, key, "abs", value)
-                    if self.recorder is not None:
-                        self.recorder.complete(index, success=result.success,
-                                               gas_used=result.gas_used)
-                    receipts[index] = Receipt(index=index, result=result)
-                    per_tx[index].end_time = end
-                    if obs is not None:
-                        obs.tx_end(loop.now, index, success=result.success,
-                                   gas_used=result.gas_used)
-                    sim_pool.release(thread, loop.now)
-                    for dep in dependents[index]:
-                        remaining[dep] -= 1
-                        if remaining[dep] == 0:
-                            if obs is not None:
-                                obs.tx_ready(loop.now, dep)
-                            heapq.heappush(ready, dep)
-                    dispatch()
-
-                loop.schedule(end, complete)
-
-        for index in range(len(txs)):
-            if remaining[index] == 0:
-                if obs is not None:
-                    obs.tx_ready(0.0, index)
-                heapq.heappush(ready, index)
-        loop.schedule_now(dispatch)
-        makespan = loop.run()
-        if obs is not None:
-            obs.block_end(makespan, makespan=makespan)
-
-        final_receipts = [r for r in receipts if r is not None]
-        if len(final_receipts) != len(txs):
-            missing = [i for i, r in enumerate(receipts) if r is None]
-            raise RuntimeError(
-                f"schedule replay deadlocked; unfinished: {missing}"
-            )
-
-        writes: Dict[StateKey, int] = {}
-        for key, entries in versions.items():
-            writes[key] = max(entries, key=lambda e: e[0])[1]
-
-        metrics = self._base_metrics(threads, final_receipts)
-        metrics.makespan = makespan
-        metrics.utilisation = sim_pool.utilisation(makespan)
-        metrics.per_tx = per_tx
-        metrics.wall_time = perf_counter() - wall_start
-        metrics.replayed = True
-        return BlockExecution(writes=writes, receipts=final_receipts,
-                              metrics=metrics)
+        execution = run_fork_join(
+            self, txs, snapshot, code_resolver, threads, block,
+            deps=[set(e.preds) for e in entries],
+            view_keys=lambda i: set(entries[i].reads),
+        )
+        execution.metrics.replayed = True
+        return execution

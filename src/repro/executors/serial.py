@@ -30,15 +30,18 @@ from .txprogram import StorageIncrement, TxResult, transaction_program
 
 def run_tx_serially(
     tx, reader, code_resolver, block=None,
-    recorder=None, index: int = 0, versions=None,
+    recorder=None, index: int = 0, versions=None, attempt: int = 1,
 ) -> "tuple[TxResult, Dict[StateKey, int]]":
     """Execute one transaction against ``reader``; returns the result and
     the write set to apply (empty unless successful).
 
-    When a trace ``recorder`` is given, foreign reads are logged with the
-    version they observed — the index of the last committed writer per
-    ``versions`` (snapshot when absent) — establishing the reference
-    version order the oracle compares parallel traces against.
+    This is the one run-to-completion loop: serial, DAG / schedule replay
+    and OCC all drive a transaction through it and differ only in where
+    ``reader`` finds a foreign value.  When a trace ``recorder`` is given,
+    foreign reads are logged with the version they observed — the writer
+    index ``versions`` holds for the key when the read returns (snapshot
+    when absent), which a point-in-time ``reader`` fills as it resolves —
+    establishing the version order the oracle compares traces against.
     """
     journal = WriteJournal(reader)
     program = transaction_program(tx, code_resolver, block=block)
@@ -55,20 +58,24 @@ def run_tx_serially(
             to_send = journal.read(event.key)
             if recorder is not None and not own:
                 version = versions.get(event.key, -1) if versions else -1
-                recorder.read(index, event.key, version, to_send)
+                recorder.read(index, event.key, version, to_send,
+                              attempt=attempt)
         elif isinstance(event, StorageWrite):
             journal.write(event.key, event.value)
             if recorder is not None:
-                recorder.write(index, event.key, value=event.value)
+                recorder.write(index, event.key, value=event.value,
+                               attempt=attempt)
         elif isinstance(event, StorageIncrement):
             own = journal.written(event.key)
             base = journal.read(event.key)
             if recorder is not None and not own:
                 version = versions.get(event.key, -1) if versions else -1
-                recorder.read(index, event.key, version, base, blind=True)
+                recorder.read(index, event.key, version, base,
+                              attempt=attempt, blind=True)
             journal.write(event.key, base + event.delta)
             if recorder is not None:
-                recorder.write(index, event.key, delta=event.delta)
+                recorder.write(index, event.key, delta=event.delta,
+                               attempt=attempt)
         elif isinstance(event, FrameCheckpoint):
             to_send = journal.checkpoint()
         elif isinstance(event, FrameCommit):

@@ -20,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..executors.base import Executor
-from ..executors.dag import DAGExecutor
-from ..executors.dmvcc import DMVCCExecutor
-from ..executors.occ import OCCExecutor
-from ..executors.serial import SerialExecutor
+from ..executors import EXECUTORS, SerialExecutor
 from ..workload.generator import (
     Workload,
     high_contention_config,
@@ -36,15 +32,6 @@ from .export import build_chrome_trace, render_gantt_ascii, write_chrome_trace
 from .timeline import Timeline, build_timeline, format_breakdown
 
 PROFILE_SCHEDULERS = ("serial", "dag", "occ", "dmvcc")
-
-
-def _factories() -> Dict[str, Callable[[], Executor]]:
-    return {
-        "serial": SerialExecutor,
-        "dag": DAGExecutor,
-        "occ": OCCExecutor,
-        "dmvcc": DMVCCExecutor,
-    }
 
 
 @dataclass
@@ -206,7 +193,7 @@ def run_profile(
         config = high_contention_config(**overrides)
     else:
         config = low_contention_config(**overrides)
-    factories = _factories()
+    factories = EXECUTORS
     unknown = [s for s in schedulers if s not in factories]
     if unknown:
         raise ValueError(f"unknown scheduler(s): {', '.join(unknown)}")

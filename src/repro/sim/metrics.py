@@ -153,6 +153,9 @@ class BlockMetrics:
         self.executions += other.executions
         self.aborts += other.aborts
         self.deterministic_failures += other.deterministic_failures
+        self.rescues += other.rescues
+        self.replayed = self.replayed or other.replayed
+        self.seeded_views += other.seeded_views
         self.replayed_instructions += other.replayed_instructions
         self.instructions_skipped += other.instructions_skipped
         self.resumes += other.resumes
@@ -168,6 +171,11 @@ class BlockMetrics:
         self.commit_nodes_sealed += other.commit_nodes_sealed
         self.flat_hits += other.flat_hits
         self.flat_misses += other.flat_misses
+        self.db_bytes_appended += other.db_bytes_appended
+        self.db_fsync_time += other.db_fsync_time
+        self.db_cache_hits += other.db_cache_hits
+        self.db_cache_misses += other.db_cache_misses
+        self.db_pruned_nodes += other.db_pruned_nodes
         if other.backend != "sim":
             self.backend = other.backend
             self.workers = max(self.workers, other.workers)

@@ -195,16 +195,10 @@ class SoakReport:
 
 
 def _executor_for(scheduler: str):
-    from .executors import DAGExecutor, DMVCCExecutor, OCCExecutor
+    from .executors import EXECUTORS
     from .shard import ShardedDMVCCExecutor
 
-    factories = {
-        "serial": SerialExecutor,
-        "occ": OCCExecutor,
-        "dag": DAGExecutor,
-        "dmvcc": DMVCCExecutor,
-        "sharded": ShardedDMVCCExecutor,
-    }
+    factories = {**EXECUTORS, "sharded": ShardedDMVCCExecutor}
     try:
         return factories[scheduler]()
     except KeyError:

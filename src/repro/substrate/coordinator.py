@@ -3,29 +3,30 @@
 The discrete-event executors interleave scheduling and execution on one
 simulated clock; a real backend cannot — a worker process runs a
 transaction *to completion* against a shipped read view and only then
-reports back.  Each coordinator here re-expresses one executor's protocol
-in that shape while reusing the exact protocol machinery the simulator
-runs on (access sequences, lock table, ready queue, conflict DAG), so the
-committed results are byte-identical to the sim backend: every scheduler
-guarantees deterministic serializability, and serializable outcomes are
-unique given the block order.
+reports back.  Each coordinator here drives the *same* protocol object the
+simulator drives (the DMVCC core, the fork-join gate, the version store)
+in that shape, so the committed results are byte-identical to the sim
+backend: every scheduler guarantees deterministic serializability, and
+serializable outcomes are unique given the block order.
 
 * **DMVCC** — access sequences are seeded from the C-SAGs exactly as in
   the simulator; a transaction dispatches when its read locks grant, its
   view is resolved from the live sequences, and the returned read log is
   **validated at commit** against those sequences (the moral equivalent of
-  the PR-3 revalidation fast path).  Valid attempts publish through
-  ``version_write`` — wake/abort cascades, skip-marking, retraction all
-  shared with the simulator.  Early-write visibility is a non-feature
+  the PR-3 revalidation fast path).  Valid attempts complete through
+  :class:`~repro.executors.dmvcc_core.DMVCCCore` — wake/abort cascades,
+  skip-marking, retraction, revalidation are the simulator's own code.
+  Early-write visibility is a non-feature
   here: workers cannot publish mid-flight, so writes land at completion
   (results are unaffected; only overlap shape differs).
 * **OCC** — deterministic execute/validate rounds: every transaction in
   the round executes against the versions committed in *previous* rounds
   (writers below its index), publishes at the round barrier, and
   re-executes while stale.  Arrival order cannot influence results.
-* **DAG** — a transaction dispatches when its conflict predecessors
-  completed, so its dispatch-time view already holds every value its
-  reads can legally observe.
+* **DAG / schedule replay** — worker-pool lanes of the fork-join gate
+  (:class:`~repro.executors.dag.ForkJoin`): a transaction dispatches when
+  its predecessors completed, so its dispatch-time view already holds
+  every value its reads can legally observe.
 * **serial** — inherently in-process; the executor's own path runs and is
   merely stamped with the backend name.
 
@@ -33,49 +34,50 @@ Reads the analysis missed surface as ``need`` outcomes (the view did not
 cover them); the coordinator augments the per-transaction key set and
 re-dispatches — counted as ``view_misses``, not aborts.  Worker crashes
 surface as ``WorkerCrashed`` obs events; their in-flight transactions are
-re-dispatched as aborts.
+re-dispatched.  Both loops, with the stale-ticket drop and the worker-error
+raise, are :meth:`_Dispatcher.pump`; a coordinator supplies only what to do
+with a good outcome and how to dispatch an index again.
 """
 
 from __future__ import annotations
 
-import heapq
-import sys
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..analysis.csag import AccessType, CSAGBuilder
+from ..analysis.csag import AccessType, _static_key_sets
 from ..core.errors import SchedulingError
 from ..core.types import Address, StateKey
-from ..executors.base import BlockExecution, Receipt
+from ..core.words import WORD_MOD
+from ..executors.base import BlockExecution, Receipt, VersionStore
+from ..executors.dag import ForkJoin
+from ..executors.dmvcc_core import DMVCCCore, ReadRecord, Status, TxState
 from ..evm.environment import BlockContext
-from ..scheduling.access_sequence import AccessSequenceSet
-from ..scheduling.locks import LockTable, ReadyQueue
+from ..obs.events import UNKNOWN_WRITER
 from ..sim.metrics import TxMetrics
 from .pools import PoolEvent, WorkerPool
 from .tasks import READ_BLIND, TxOutcome, TxTask
 
-_W = ("waiting", "ready", "running", "done")
-WAITING, READY, RUNNING, DONE = _W
-
 
 class _Dispatcher:
-    """Ticketing, code shipping, and view-miss learning over one pool."""
+    """Ticketing, code shipping, view-miss learning and the pool-event pump
+    over one pool, for one block."""
 
-    def __init__(self, pool: WorkerPool, code_resolver) -> None:
+    def __init__(self, pool: WorkerPool, code_resolver, txs, block,
+                 obs=None, clock: Callable[[], float] = lambda: 0.0) -> None:
         self.pool = pool
         self.resolve_code = code_resolver
-        self.tickets: List[int] = []
-        self.extra_keys: List[Set[StateKey]] = []
+        self.txs = txs
+        self.block = block
+        self.obs = obs
+        self.clock = clock
+        self.tickets = [0] * len(txs)
+        self.extra_keys: List[Set[StateKey]] = [set() for _ in txs]
         self.sent_codes: List[Set[Address]] = [set() for _ in range(pool.size)]
         # Learned per-entry-contract callee set: once one transaction to a
         # contract discovers a foreign callee, every later task pre-ships it.
         self.callees: Dict[Address, Set[Address]] = {}
         self.view_misses = 0
         self.worker_crashes = 0
-
-    def size_for(self, count: int) -> None:
-        self.tickets = [0] * count
-        self.extra_keys = [set() for _ in range(count)]
 
     def worker_for(self, index: int) -> int:
         return index % self.pool.size
@@ -88,58 +90,77 @@ class _Dispatcher:
         self.sent_codes[worker] |= fresh
         return {a: (self.resolve_code(a) or b"") for a in fresh}
 
-    def dispatch(self, tx, index: int, attempt: int,
-                 view: Dict[StateKey, int], block,
+    def view_keys(self, index: int, predicted: Set[StateKey]) -> Set[StateKey]:
+        """``predicted`` widened by the balances a value transfer touches
+        and by every key an earlier ``need`` outcome taught us."""
+        return (predicted | _balance_keys(self.txs[index])
+                | self.extra_keys[index])
+
+    def dispatch(self, index: int, attempt: int, view: Dict[StateKey, int],
                  commutative: bool = False,
                  blind_pcs: frozenset = frozenset(),
-                 increment_sites: Optional[Dict[int, int]] = None) -> TxTask:
+                 increment_sites: Optional[Dict[int, int]] = None) -> None:
         self.tickets[index] += 1
         worker = self.worker_for(index)
-        task = TxTask(
+        tx = self.txs[index]
+        self.pool.submit(worker, TxTask(
             index=index, attempt=attempt, ticket=self.tickets[index],
-            tx=tx, view=view, block=block, commutative=commutative,
+            tx=tx, view=view, block=self.block, commutative=commutative,
             blind_pcs=blind_pcs,
             increment_sites=increment_sites or {},
             codes=self._codes_for(worker, tx.to),
-        )
-        self.pool.submit(worker, task)
-        return task
+        ))
 
     def invalidate(self, index: int) -> None:
         """Make any in-flight outcome for ``index`` stale."""
         self.tickets[index] += 1
 
-    def is_stale(self, outcome: TxOutcome) -> bool:
-        return outcome.ticket != self.tickets[outcome.index]
+    def pump(self, on_outcome: Callable[[TxOutcome], None],
+             redispatch: Callable[[int], None],
+             on_lost: Optional[Callable[[int], None]] = None) -> None:
+        """Wait for the pool's next events and route them.
 
-    def learn(self, outcome: TxOutcome, to: Address) -> None:
-        """Absorb a ``need`` outcome: missing keys widen the view, missing
-        codes widen the contract's callee shipping set."""
-        for key in outcome.missing_keys:
-            self.extra_keys[outcome.index].add(key)
-            self.view_misses += 1
-        for address in outcome.missing_codes:
-            self.callees.setdefault(to, set()).add(address)
+        A good outcome goes to ``on_outcome``.  Outcomes whose ticket was
+        superseded are dropped.  A ``need`` outcome widens what the next
+        view ships — missing keys for this transaction, missing codes for
+        every transaction to the same contract — and the index is
+        dispatched again.  A crashed worker's unanswered tasks go to
+        ``on_lost`` (default: dispatch again); the respawned worker starts
+        with an empty code cache.  A worker *error* is a bug and raises.
+        """
+        for event in self.pool.collect():
+            if event.kind == "error":
+                _raise_worker_error(event)
+            if event.kind == "crash":
+                self.worker_crashes += 1
+                self.sent_codes[event.worker] = set()
+                if self.obs is not None:
+                    self.obs.worker_crashed(self.clock(), worker=event.worker,
+                                            lost=len(event.lost))
+                for task in event.lost:
+                    if task.ticket == self.tickets[task.index]:
+                        (on_lost or redispatch)(task.index)
+                continue
+            outcome = event.outcome
+            if outcome.ticket != self.tickets[outcome.index]:
+                continue
+            if outcome.ok:
+                on_outcome(outcome)
+                continue
+            for key in outcome.missing_keys:
+                self.extra_keys[outcome.index].add(key)
+                self.view_misses += 1
+            for address in outcome.missing_codes:
+                self.callees.setdefault(
+                    self.txs[outcome.index].to, set()).add(address)
+            redispatch(outcome.index)
 
-    def on_crash(self, event: PoolEvent) -> None:
-        self.worker_crashes += 1
-        # The respawned worker starts with an empty code cache.
-        self.sent_codes[event.worker] = set()
-
-
-def _stamp(metrics, pool: WorkerPool, dispatcher: _Dispatcher,
-           wall: float) -> None:
-    metrics.backend = pool.kind
-    metrics.workers = pool.size
-    metrics.wall_time = wall
-    metrics.view_misses = dispatcher.view_misses
-    metrics.worker_crashes = dispatcher.worker_crashes
-
-
-def _balance_keys(tx) -> Set[StateKey]:
-    if tx.value > 0:
-        return {StateKey.balance(tx.sender), StateKey.balance(tx.to)}
-    return set()
+    def stamp(self, metrics, wall: float) -> None:
+        metrics.backend = self.pool.kind
+        metrics.workers = self.pool.size
+        metrics.wall_time = wall
+        metrics.view_misses = self.view_misses
+        metrics.worker_crashes = self.worker_crashes
 
 
 def _raise_worker_error(event: PoolEvent) -> None:
@@ -148,525 +169,167 @@ def _raise_worker_error(event: PoolEvent) -> None:
     )
 
 
+def _balance_keys(tx) -> Set[StateKey]:
+    if tx.value > 0:
+        return {StateKey.balance(tx.sender), StateKey.balance(tx.to)}
+    return set()
+
+
+def _lanes(pool: WorkerPool, threads: int) -> int:
+    """Logical concurrency: the caller's ``threads`` bounds how many
+    transactions may be in flight at once, independent of the pool's
+    physical worker count (a pinned pool may be larger or smaller)."""
+    return max(1, threads) if threads else pool.size
+
+
 # ---------------------------------------------------------------------------
 # DMVCC
 # ---------------------------------------------------------------------------
 
 
-class _RTx:
-    """Per-transaction coordinator state (the real-mode _TxState)."""
+class _DMVCCRealRun(DMVCCCore):
+    """One DMVCC block over a real worker pool: the run-to-completion
+    driver of the core.
 
-    __slots__ = (
-        "index", "tx", "csag", "needed", "status", "attempts", "result",
-        "published", "reads", "recorded_keys", "aborting", "blind_pcs",
-        "increments",
-    )
-
-    def __init__(self, index, tx, csag, needed) -> None:
-        self.index = index
-        self.tx = tx
-        self.csag = csag
-        self.needed = needed
-        self.status = WAITING
-        self.attempts = 0
-        self.result = None
-        # Committed-attempt bookkeeping (for retraction / revalidation):
-        self.published: Dict[StateKey, Tuple[str, int]] = {}
-        self.reads: List[Tuple[StateKey, int, int, int]] = []  # key,base,kind,ver
-        self.recorded_keys: Set[StateKey] = set()
-        self.aborting = False
-        self.blind_pcs: frozenset = frozenset()
-        self.increments: Dict[int, int] = {}
-
-
-class _DMVCCRealRun:
-    """One DMVCC block over a real worker pool."""
+    A worker cannot be asked anything mid-flight, so this driver owns what
+    that forces: resolving a read *view* at dispatch, validating the
+    returned read log against the live sequences at commit, and
+    re-dispatching what a crashed worker lost.  Merge registries never
+    reach it (``DMVCCExecutor.execute_block`` keeps those blocks on the
+    simulator), so no abort is ever skipped.
+    """
 
     def __init__(self, executor, pool, txs, snapshot, code_resolver,
                  block, csags, threads: int = 0) -> None:
-        self.ex = executor
-        self.pool = pool
-        # Logical concurrency: the caller's ``threads`` bounds how many
-        # transactions may be in flight at once, independent of the pool's
-        # physical worker count (a pinned pool may be larger or smaller).
-        self.lanes = max(1, threads) if threads else pool.size
-        self.txs = txs
-        self.snapshot = snapshot
-        self.resolve_code = code_resolver
-        self.block = block if block is not None else BlockContext()
-        self.builder = CSAGBuilder(code_resolver, executor._psag_cache,
-                                   self.block, executor._csag_cache)
-        if csags is None:
-            csags = [self.builder.build(tx, snapshot) for tx in txs]
-        self.csags = csags
-        self.obs = executor.obs
-        self.recorder = executor.recorder
         self._t0 = perf_counter()
-        clock = self._now
-        self.sequences = AccessSequenceSet(obs=self.obs, clock=clock)
-        self.locks = LockTable(obs=self.obs, clock=clock)
-        self.queue = ReadyQueue()
-        self.dispatcher = _Dispatcher(pool, code_resolver)
-        self.dispatcher.size_for(len(txs))
-        self.states: List[_RTx] = []
-        self.per_tx = [TxMetrics(index=i) for i in range(len(txs))]
-        self.ever_written: List[Set[StateKey]] = [set() for _ in txs]
-        self.rescues = 0
+        super().__init__(executor, txs, snapshot, code_resolver, block, csags)
+        self.pool = pool
+        self.lanes = _lanes(pool, threads)
+        self.dispatcher = _Dispatcher(pool, code_resolver, txs, self.block,
+                                      self.obs, self.now)
 
-    def _now(self) -> float:
+    def now(self) -> float:
         return perf_counter() - self._t0
 
-    # -- setup (mirrors _BlockRun._setup) --------------------------------
-
-    def _declared(self, access_type: AccessType) -> AccessType:
-        if access_type is AccessType.COMMUTATIVE and not self.ex.enable_commutative:
-            return AccessType.READ_WRITE
-        return access_type
-
-    def _setup(self) -> None:
-        for i, (tx, csag) in enumerate(zip(self.txs, self.csags)):
-            needed: Set[StateKey] = set()
-            per_key = dict(csag.per_key)
-            if not csag.predicted_success and not csag.missing:
-                for key in csag.static_write_keys:
-                    if key not in per_key:
-                        per_key[key] = AccessType.READ_WRITE
-                for key in csag.static_read_keys:
-                    if key not in per_key:
-                        per_key[key] = AccessType.READ
-            for key, access_type in per_key.items():
-                declared = self._declared(access_type)
-                self.sequences.sequence(key).insert_predicted(i, declared)
-                if declared in (AccessType.READ, AccessType.READ_WRITE):
-                    needed.add(key)
-            state = _RTx(i, tx, csag, needed)
-            code = self.resolve_code(tx.to)
-            if code and self.ex.enable_commutative:
-                psag = self.builder.psag_for(code)
-                state.increments = dict(psag.analysis.increment_sites)
-                state.blind_pcs = frozenset(state.increments.values())
-            self.states.append(state)
-            self.locks.register(i, needed)
-        for state in self.states:
-            if self.locks.refresh(state.index, self.sequences):
-                state.status = READY
-                self.queue.push(state.index)
-                if self.obs is not None:
-                    self.obs.tx_ready(0.0, state.index)
-
-    # -- main loop --------------------------------------------------------
-
     def execute(self) -> BlockExecution:
-        if self.obs is not None:
-            self.obs.block_start(0.0, scheduler=self.ex.name,
-                                 threads=self.lanes,
-                                 tx_count=len(self.txs))
-        self._setup()
-        guard = 0
-        while not all(s.status is DONE for s in self.states):
+        self._setup(self.lanes)
+        while not self._all_done():
             dispatched = self._dispatch_ready()
             if self.pool.inflight_count == 0 and not dispatched:
-                # Nothing running, nothing ready: recover lost wake-ups
-                # exactly like the simulator's rescue pass.
-                guard += 1
-                if guard > 3 * len(self.states) + 10:
-                    stuck = [s.index for s in self.states
-                             if s.status is not DONE]
-                    raise SchedulingError(
-                        f"DMVCC deadlock; stuck transactions: {stuck}")
-                progressed = False
-                for state in self.states:
-                    if state.status is WAITING:
-                        self.rescues += 1
-                        state.status = READY
-                        self.queue.push(state.index)
-                        progressed = True
-                if not progressed:
-                    stuck = [s.index for s in self.states
-                             if s.status is not DONE]
-                    raise SchedulingError(
-                        f"DMVCC deadlock; stuck transactions: {stuck}")
+                self._rescue()
                 continue
-            for event in self.pool.collect():
-                if event.kind == "crash":
-                    self._on_crash(event)
-                elif event.kind == "error":
-                    _raise_worker_error(event)
-                else:
-                    self._on_outcome(event.outcome)
-
-        wall = self._now()
-        if self.obs is not None:
-            self.obs.block_end(wall, makespan=0.0)
-        receipts = [
-            Receipt(index=s.index, result=s.result,
-                    attempts=max(s.attempts, 1))
-            for s in self.states
-        ]
-        writes = self.sequences.final_writes(self.snapshot.get)
-        metrics = self.ex._base_metrics(self.lanes, receipts)
-        metrics.per_tx = self.per_tx
-        metrics.rescues = self.rescues
-        metrics.replayed_instructions = sum(
-            t.replayed_instructions for t in self.per_tx)
-        metrics.instructions_skipped = sum(
-            t.instructions_skipped for t in self.per_tx)
-        metrics.resumes = sum(t.resumes for t in self.per_tx)
-        metrics.revalidation_hits = sum(
-            t.revalidation_hits for t in self.per_tx)
-        _stamp(metrics, self.pool, self.dispatcher, wall)
-        return BlockExecution(writes=writes, receipts=receipts,
-                              metrics=metrics)
+            self.dispatcher.pump(self._on_outcome, self._send, self._on_lost)
+        wall = self.now()
+        execution = self._result(self.lanes, wall)
+        self.dispatcher.stamp(execution.metrics, wall)
+        return execution
 
     # -- dispatch ---------------------------------------------------------
 
-    def _view_keys(self, state: _RTx) -> Set[StateKey]:
-        keys = set(state.needed)
-        for key, access_type in state.csag.per_key.items():
-            if self._declared(access_type) is AccessType.COMMUTATIVE:
-                keys.add(key)
-        keys |= state.csag.static_read_keys
-        keys |= _balance_keys(state.tx)
-        keys |= self.dispatcher.extra_keys[state.index]
-        return keys
-
-    def _build_view(self, state: _RTx) -> Dict[StateKey, int]:
-        view: Dict[StateKey, int] = {}
-        for key in self._view_keys(state):
-            seq = self.sequences.get(key)
-            if seq is None:
-                view[key] = self.snapshot.get(key)
-                continue
-            resolution = seq.resolve_read(state.index)
-            if not resolution.ready:
-                resolution = seq.best_available_read(state.index)
-            view[key] = resolution.resolve_with_snapshot(self.snapshot.get(key))
-        return view
-
     def _dispatch_ready(self) -> bool:
         dispatched = False
-        running = sum(1 for s in self.states if s.status is RUNNING)
+        running = sum(1 for s in self.states if s.status is Status.RUNNING)
         while running < self.lanes:
             index = self.queue.pop()
             if index is None:
-                return dispatched
+                break
             state = self.states[index]
-            state.status = RUNNING
+            state.status = Status.RUNNING
             state.attempts += 1
+            now = self.now()
             if state.attempts == 1:
-                self.per_tx[index].start_time = self._now()
+                self.per_tx[index].start_time = now
             if self.obs is not None:
-                now = self._now()
                 if state.attempts > 1:
                     self.obs.tx_reexecute(now, index, attempt=state.attempts)
                 self.obs.tx_start(now, index, attempt=state.attempts,
                                   thread=self.dispatcher.worker_for(index))
-            self._send(state)
+            self._send(index)
             dispatched = True
             running += 1
         return dispatched
 
-    def _send(self, state: _RTx) -> None:
+    def _send(self, index: int) -> None:
+        """Ship ``index``'s current attempt with a view resolved now (also
+        the same attempt again, with a widened view, after a ``need``)."""
+        state = self.states[index]
+        if state.status is not Status.RUNNING:
+            return
+        predicted = set(state.needed_keys) | state.csag.static_read_keys
+        for key, access_type in state.csag.per_key.items():
+            if self._declared(access_type) is AccessType.COMMUTATIVE:
+                predicted.add(key)
+        view: Dict[StateKey, int] = {}
+        for key in self.dispatcher.view_keys(index, predicted):
+            value = self.snapshot.get(key)
+            seq = self.sequences.get(key)
+            if seq is not None:
+                value = self._resolve(seq, index)[0].resolve_with_snapshot(value)
+            view[key] = value
+        blind_pcs, increments = self._contract_info(state.tx.to)[:2]
         self.dispatcher.dispatch(
-            state.tx, state.index, state.attempts,
-            self._build_view(state), self.block,
+            index, state.attempts, view,
             commutative=self.ex.enable_commutative,
-            blind_pcs=state.blind_pcs,
-            increment_sites=state.increments,
+            blind_pcs=blind_pcs, increment_sites=increments,
         )
 
     # -- outcomes ---------------------------------------------------------
 
     def _on_outcome(self, outcome: TxOutcome) -> None:
+        """Validate every versioned read of a returned attempt against the
+        live sequences; commit it, or abort it on the first key whose view
+        went stale in flight."""
         state = self.states[outcome.index]
-        if self.dispatcher.is_stale(outcome) or state.status is not RUNNING:
-            return  # aborted (or re-routed) while in flight
-        if not outcome.ok:
-            self.dispatcher.learn(outcome, state.tx.to)
-            self._send(state)  # same attempt, widened view
+        if state.status is not Status.RUNNING:
             return
-        validated = self._validate(state, outcome)
-        if isinstance(validated, StateKey):
-            self._abort_running(state, validated)
-            return
-        self._commit(state, outcome, validated)
-
-    def _validate(self, state: _RTx, outcome: TxOutcome):
-        """Check every versioned read against the live sequences; returns
-        the per-record (version, speculative) list, or the offending key on
-        mismatch (the attempt saw a view that went stale in flight)."""
-        resolved: List[Optional[Tuple[int, bool]]] = []
+        index = state.index
+        records: List[ReadRecord] = []
         for key, base, kind in outcome.reads:
             if kind == READ_BLIND:
-                resolved.append(None)
+                records.append(ReadRecord(key, base, -1, registered=False,
+                                          blind=True))
                 continue
             seq = self.sequences.sequence(key)
-            resolution = seq.resolve_read(state.index)
-            speculative = False
-            if not resolution.ready:
-                resolution = seq.best_available_read(state.index)
-                speculative = True
+            resolution, speculative = self._resolve(seq, index)
             if resolution.resolve_with_snapshot(self.snapshot.get(key)) != base:
-                return key
-            resolved.append((resolution.version_from, speculative))
-        return resolved
-
-    def _commit(self, state: _RTx, outcome: TxOutcome, validated) -> None:
-        index = state.index
-        now = self._now()
-        state.reads = []
-        for (key, base, kind), info in zip(outcome.reads, validated):
-            if kind == READ_BLIND:
-                state.reads.append((key, base, kind, -1))
-                if self.recorder is not None:
-                    self.recorder.read(index, key, -1, base,
-                                       attempt=state.attempts, blind=True)
-                continue
-            version, speculative = info
-            self.sequences.sequence(key).record_read(index, version)
-            state.recorded_keys.add(key)
-            state.reads.append((key, base, kind, version))
+                self._fail_attempt(state, key)
+                return
+            records.append(ReadRecord(key, base, resolution.version_from,
+                                      registered=True, speculative=speculative))
+        for rec in records:
+            if rec.registered:
+                self.sequences.sequence(rec.key).record_read(index, rec.version_from)
+                state.registered_reads[rec.key] = rec.base
             if self.recorder is not None:
-                self.recorder.read(index, key, version, base,
-                                   attempt=state.attempts,
-                                   speculative=speculative)
-
-        state.status = DONE
-        state.result = outcome.result
-        per = self.per_tx[index]
-        per.end_time = now
-        per.gas_used = outcome.result.gas_used
-        per.succeeded = outcome.result.success
-        per.attempts = state.attempts
-        per.instructions_executed += outcome.result.steps
-        per.instructions_final = outcome.result.steps
-
-        if outcome.result.success:
-            for key, value in outcome.writes_abs:
-                self._publish(state, key, "abs", value)
-            for key, delta in outcome.writes_delta:
-                self._publish(state, key, "delta", delta)
-        if self.obs is not None:
-            self.obs.tx_end(now, index, attempt=state.attempts,
-                            success=outcome.result.success,
-                            gas_used=outcome.result.gas_used)
-        if self.recorder is not None:
-            self.recorder.complete(index, attempt=state.attempts,
-                                   success=outcome.result.success,
-                                   gas_used=outcome.result.gas_used)
-        self._skip_mark(state)
-
-    def _skip_mark(self, state: _RTx) -> None:
-        """Predicted (or previously published) writes that never happened
-        are marked skipped so waiters unblock — same as the simulator."""
-        pending = set(self.ever_written[state.index])
-        for key, access_type in state.csag.per_key.items():
-            if self._declared(access_type) is not AccessType.READ:
-                pending.add(key)
-        for key in pending:
-            if key in state.published:
-                continue
-            seq = self.sequences.sequence(key)
-            entry = seq.entry(state.index)
-            if entry is not None and entry.has_write_part and not entry.write_finished:
-                allowed, _ = seq.version_write(state.index, skipped=True)
-                self._handle_wake_and_abort(key, allowed, [],
-                                            writer=state.index)
-
-    def _publish(self, state: _RTx, key: StateKey, kind: str,
-                 value: int) -> None:
-        seq = self.sequences.sequence(key)
-        if self.recorder is not None:
-            self.recorder.publish(state.index, key, kind, value, early=False)
-        if kind == "abs":
-            allowed, aborted = seq.version_write(state.index, value=value)
-        else:
-            allowed, aborted = seq.version_write(state.index, delta=value)
-        state.published[key] = (kind, value)
-        self.ever_written[state.index].add(key)
-        self._handle_wake_and_abort(key, allowed, aborted,
-                                    writer=state.index)
-
-    def _handle_wake_and_abort(self, key, allowed, aborted,
-                               writer: int = -1) -> None:
-        for victim in aborted:
-            self._abort(victim, key, writer=writer)
-        seq = self.sequences.sequence(key)
-        for index in sorted(set(allowed) | set(aborted)):
-            target = self.states[index]
-            if target.status is WAITING:
-                if seq.resolve_read(index).ready:
-                    became_ready = self.locks.grant(index, key)
-                    if became_ready or self.locks.is_ready(index):
-                        if target.status is WAITING:
-                            target.status = READY
-                            self.queue.push(index)
-                            if self.obs is not None:
-                                now = self._now()
-                                self.obs.version_wait_end(
-                                    now, index, key=key, granted_by=writer)
-                                self.obs.tx_ready(
-                                    now, index, attempt=target.attempts + 1)
-            else:
-                self.locks.grant(index, key)
+                self.recorder.read(index, rec.key, rec.version_from, rec.base,
+                                   attempt=state.attempts, blind=rec.blind,
+                                   speculative=rec.speculative)
+        state.read_log = records
+        self.per_tx[index].instructions_executed += outcome.result.steps
+        self._finish_attempt(state, outcome.result, dict(outcome.writes_abs),
+                             dict(outcome.writes_delta))
 
     # -- aborts -----------------------------------------------------------
 
-    def _abort_running(self, state: _RTx, bad_key) -> None:
-        """A returned attempt failed commit validation: its view was stale."""
-        if self.recorder is not None:
-            self.recorder.abort(state.index, attempt=max(state.attempts, 1),
-                                key=bad_key)
-        if self.obs is not None:
-            self.obs.tx_abort(self._now(), state.index,
-                              attempt=max(state.attempts, 1), key=bad_key)
+    def _unwind(self, state: TxState, running: bool) -> None:
+        if running:
+            # The in-flight attempt cannot be recalled; outdate it.
+            self.dispatcher.invalidate(state.index)
+        self._restart(state)
+
+    def _fail_attempt(self, state: TxState, key: Optional[StateKey]) -> None:
+        """A dispatched attempt came to nothing before it could commit —
+        its view went stale on ``key``, or it died with its worker."""
+        self._note_abort(state, key, writer=UNKNOWN_WRITER)
         self.per_tx[state.index].aborted_times += 1
-        state.status = WAITING
+        state.status = Status.WAITING
         self._requeue(state)
 
-    def _abort(self, index: int, trigger_key, writer: int = -1) -> None:
+    def _on_lost(self, index: int) -> None:
         state = self.states[index]
-        if state.aborting:
-            return
-        if self.recorder is not None:
-            self.recorder.abort(index, attempt=max(state.attempts, 1),
-                                key=trigger_key)
-        if self.obs is not None:
-            self.obs.tx_abort(self._now(), index,
-                              attempt=max(state.attempts, 1),
-                              key=trigger_key, writer=writer)
-        if (
-            self.ex.enable_revalidation
-            and state.status is DONE
-            and state.result is not None
-            and state.result.success
-            and self._try_revalidate(state)
-        ):
-            return
-        state.aborting = True
-        try:
-            if state.status is READY:
-                self.queue.remove(index)
-            elif state.status is RUNNING:
-                # The in-flight attempt cannot be recalled; outdate it.
-                self.dispatcher.invalidate(index)
-            elif state.status is DONE:
-                state.result = None
-            state.status = WAITING
-            self.per_tx[index].aborted_times += 1
-            self._retract_published(state)
-            self._reset_reads(state)
-        finally:
-            state.aborting = False
-        self._requeue(state)
-
-    def _requeue(self, state: _RTx) -> None:
-        index = state.index
-        self.locks.release_all(index)
-        if self.locks.refresh(index, self.sequences):
-            state.status = READY
-            self.queue.push(index)
-            if self.obs is not None:
-                self.obs.tx_ready(self._now(), index,
-                                  attempt=state.attempts + 1)
-
-    def _reset_reads(self, state: _RTx) -> None:
-        for key in state.recorded_keys:
-            seq = self.sequences.get(key)
-            if seq is not None:
-                entry = seq.entry(state.index)
-                if entry is not None:
-                    entry.reset_read()
-        state.recorded_keys = set()
-        state.reads = []
-
-    def _retract_published(self, state: _RTx) -> None:
-        published = list(state.published)
-        state.published = {}
-        for key in published:
-            seq = self.sequences.get(key)
-            if seq is None:
-                continue
-            victims = seq.retract(state.index)
-            if self.recorder is not None:
-                self.recorder.retract(
-                    state.index, key,
-                    tuple(v for v in victims if v != state.index),
-                )
-            for victim in victims:
-                if victim != state.index:
-                    self._abort(victim, key, writer=state.index)
-
-    def _try_revalidate(self, state: _RTx) -> bool:
-        """PR-3's zero-re-execution repair, against the stored read log."""
-        versions: List[int] = []
-        for key, base, kind, _old in state.reads:
-            if kind == READ_BLIND:
-                versions.append(-1)
-                continue
-            seq = self.sequences.get(key)
-            if seq is None:
-                return False
-            view = seq.current_read_view(state.index, self.snapshot.get(key))
-            if view is None or view[0] != base:
-                return False
-            versions.append(view[1])
-        state.attempts += 1
-        per = self.per_tx[state.index]
-        per.attempts = state.attempts
-        per.aborted_times += 1
-        per.revalidation_hits += 1
-        per.instructions_skipped += state.result.steps
-        for key in state.recorded_keys:
-            seq = self.sequences.get(key)
-            if seq is not None:
-                entry = seq.entry(state.index)
-                if entry is not None:
-                    entry.reset_read()
-        new_reads: List[Tuple[StateKey, int, int, int]] = []
-        for (key, base, kind, _old), version in zip(state.reads, versions):
-            if kind != READ_BLIND:
-                self.sequences.sequence(key).record_read(state.index, version)
-            new_reads.append((key, base, kind, version))
-            if self.recorder is not None:
-                self.recorder.read(state.index, key, version, base,
-                                   attempt=state.attempts,
-                                   blind=kind == READ_BLIND)
-        state.reads = new_reads
-        if self.obs is not None:
-            self.obs.revalidation_hit(self._now(), state.index,
-                                      attempt=state.attempts,
-                                      instructions_skipped=state.result.steps)
-        if self.recorder is not None:
-            self.recorder.complete(state.index, attempt=state.attempts,
-                                   success=True,
-                                   gas_used=state.result.gas_used)
-        return True
-
-    # -- crashes ----------------------------------------------------------
-
-    def _on_crash(self, event: PoolEvent) -> None:
-        self.dispatcher.on_crash(event)
-        if self.obs is not None:
-            self.obs.worker_crashed(self._now(), worker=event.worker,
-                                    lost=len(event.lost))
-        for task in event.lost:
-            state = self.states[task.index]
-            if task.ticket != self.dispatcher.tickets[task.index]:
-                continue  # already superseded
-            if state.status is not RUNNING:
-                continue
-            # Re-dispatch as an abort: the attempt died with its worker.
-            if self.recorder is not None:
-                self.recorder.abort(task.index,
-                                    attempt=max(state.attempts, 1))
-            if self.obs is not None:
-                self.obs.tx_abort(self._now(), task.index,
-                                  attempt=max(state.attempts, 1))
-            self.per_tx[task.index].aborted_times += 1
-            self.dispatcher.invalidate(task.index)
-            state.status = WAITING
-            self._requeue(state)
+        if state.status is Status.RUNNING:
+            self.dispatcher.invalidate(index)
+            self._fail_attempt(state, None)
 
 
 def run_dmvcc_real(executor, pool, txs, snapshot, code_resolver,
@@ -697,50 +360,33 @@ def run_occ_real(executor, pool, txs, snapshot, code_resolver,
     execution in block order, which never aborts.
     """
     t0 = perf_counter()
-    lanes = max(1, threads) if threads else pool.size
+
+    def now() -> float:
+        return perf_counter() - t0
+
+    lanes = _lanes(pool, threads)
     block = block if block is not None else BlockContext()
     count = len(txs)
     recorder = executor.recorder
     obs = executor.obs
-    dispatcher = _Dispatcher(pool, code_resolver)
-    dispatcher.size_for(count)
-    # key -> {writer: value}: versions committed at round barriers.
-    store: Dict[StateKey, Dict[int, int]] = {}
+    dispatcher = _Dispatcher(pool, code_resolver, txs, block, obs, now)
+    # Versions committed at wave barriers.
+    store = VersionStore(snapshot)
 
-    def store_read(key: StateKey, index: int) -> Tuple[int, int]:
-        versions = store.get(key)
-        best = -1
-        value = 0
-        if versions:
-            for writer, v in versions.items():
-                if best < writer < index:
-                    best, value = writer, v
-        if best == -1:
-            return snapshot.get(key), -1
-        return value, best
-
-    known: List[Set[StateKey]] = [
-        _balance_keys(tx) | dispatcher.extra_keys[i]
-        for i, tx in enumerate(txs)
-    ]
     # Seed first-dispatch views from the static P-SAG key resolution
     # (cheap: symbolic evaluation, no pre-execution).  OCC carries no
     # C-SAGs by design, but shipping the *predicted* key set up front
     # collapses the view-miss → re-dispatch discovery loop that otherwise
     # costs one worker round-trip per missing key cluster.
+    known: List[Set[StateKey]] = [set() for _ in txs]
     seeded = 0
-    if getattr(executor, "seed_views", False):
-        from ..analysis.csag import _static_key_sets
-        psag_cache = executor.psag_cache
-        for i, tx in enumerate(txs):
-            code = code_resolver(tx.to)
-            if not code:
-                continue
+    for i, tx in enumerate(txs):
+        code = code_resolver(tx.to)
+        if code:
             reads, writes = _static_key_sets(
-                tx, snapshot, psag_cache.get(code), block)
-            fresh = (reads | writes) - known[i]
-            seeded += len(fresh)
-            known[i] |= fresh
+                tx, snapshot, executor.psag_cache.get(code), block)
+            known[i] = reads | writes
+            seeded += len(known[i] - _balance_keys(tx))
     results: List[Optional[object]] = [None] * count
     observed: List[Dict[StateKey, Tuple[int, int]]] = [{} for _ in range(count)]
     write_sets: List[Dict[StateKey, int]] = [{} for _ in range(count)]
@@ -748,6 +394,7 @@ def run_occ_real(executor, pool, txs, snapshot, code_resolver,
     attempts = [0] * count
     per_tx = [TxMetrics(index=i) for i in range(count)]
     needs = list(range(count))
+    pending: Set[int] = set()  # dispatched in this wave, not yet answered
     rounds = 0
 
     if obs is not None:
@@ -757,15 +404,27 @@ def run_occ_real(executor, pool, txs, snapshot, code_resolver,
             obs.tx_ready(0.0, index)
 
     def dispatch(index: int) -> None:
-        view = {}
-        meta = {}
-        for key in known[index] | dispatcher.extra_keys[index]:
-            value, writer = store_read(key, index)
-            view[key] = value
-            meta[key] = (value, writer)
+        meta = {key: store.read(key, index)
+                for key in dispatcher.view_keys(index, known[index])}
         observed[index] = meta
-        dispatcher.dispatch(txs[index], index, attempts[index], view, block,
-                            commutative=False)
+        dispatcher.dispatch(index, attempts[index],
+                            {key: value for key, (value, _w) in meta.items()})
+
+    def on_outcome(outcome: TxOutcome) -> None:
+        index = outcome.index
+        results[index] = outcome.result
+        outcome_reads[index] = outcome.reads
+        writes = dict(outcome.writes_abs)
+        writes.update(
+            (k, (store.read(k, index)[0] + d) % WORD_MOD)
+            for k, d in outcome.writes_delta
+        )  # commutative=False ⇒ normally empty
+        write_sets[index] = writes
+        pending.discard(index)
+
+    def on_lost(index: int) -> None:
+        per_tx[index].aborted_times += 1
+        dispatch(index)
 
     while needs:
         rounds += 1
@@ -777,61 +436,23 @@ def run_occ_real(executor, pool, txs, snapshot, code_resolver,
             if recorder is not None:
                 for key in write_sets[index]:
                     recorder.retract(index, key)
-            for key in write_sets[index]:
-                entry = store.get(key)
-                if entry is not None:
-                    entry.pop(index, None)
+            store.retract(index, write_sets[index])
             write_sets[index] = {}
 
         for start in range(0, len(needs), lanes):
             wave = needs[start:start + lanes]
             for index in wave:
                 attempts[index] += 1
-                if obs is not None and attempts[index] > 1:
-                    obs.tx_reexecute(perf_counter() - t0, index,
-                                     attempt=attempts[index])
                 if obs is not None:
-                    obs.tx_start(perf_counter() - t0, index,
-                                 attempt=attempts[index],
+                    if attempts[index] > 1:
+                        obs.tx_reexecute(now(), index, attempt=attempts[index])
+                    obs.tx_start(now(), index, attempt=attempts[index],
                                  thread=dispatcher.worker_for(index))
                 dispatch(index)
 
-            pending = set(wave)
+            pending.update(wave)
             while pending:
-                for event in pool.collect():
-                    if event.kind == "error":
-                        _raise_worker_error(event)
-                    if event.kind == "crash":
-                        dispatcher.on_crash(event)
-                        if obs is not None:
-                            obs.worker_crashed(perf_counter() - t0,
-                                               worker=event.worker,
-                                               lost=len(event.lost))
-                        for task in event.lost:
-                            if task.ticket == dispatcher.tickets[task.index]:
-                                per_tx[task.index].aborted_times += 1
-                                dispatch(task.index)
-                        continue
-                    outcome = event.outcome
-                    if dispatcher.is_stale(outcome):
-                        continue
-                    index = outcome.index
-                    if not outcome.ok:
-                        dispatcher.learn(outcome, txs[index].to)
-                        known[index] |= set(outcome.missing_keys)
-                        known[index] |= {k for k, _b, _k in outcome.reads}
-                        dispatch(index)
-                        continue
-                    results[index] = outcome.result
-                    outcome_reads[index] = outcome.reads
-                    writes = dict(outcome.writes_abs)
-                    writes.update(
-                        (k, (store_read(k, index)[0] + d) % (1 << 256))
-                        for k, d in outcome.writes_delta
-                    )  # commutative=False ⇒ normally empty
-                    write_sets[index] = writes
-                    known[index] |= {k for k, _b, _kind in outcome.reads}
-                    pending.discard(index)
+                dispatcher.pump(on_outcome, dispatch, on_lost)
 
             # Wave barrier: publish and trace this wave's attempts; later
             # waves (and rounds) observe them at dispatch time.
@@ -846,8 +467,7 @@ def run_occ_real(executor, pool, txs, snapshot, code_resolver,
                     for key, value in write_sets[index].items():
                         recorder.write(index, key, value=value,
                                        attempt=attempts[index])
-                for key, value in write_sets[index].items():
-                    store.setdefault(key, {})[index] = value
+                store.publish(index, write_sets[index])
                 if recorder is not None:
                     for key, value in write_sets[index].items():
                         recorder.publish(index, key, "abs", value)
@@ -855,22 +475,20 @@ def run_occ_real(executor, pool, txs, snapshot, code_resolver,
                                       success=result.success,
                                       gas_used=result.gas_used)
                 if obs is not None:
-                    obs.tx_end(perf_counter() - t0, index,
-                               attempt=attempts[index],
+                    obs.tx_end(now(), index, attempt=attempts[index],
                                success=result.success,
                                gas_used=result.gas_used)
 
         needs = []
         for index in range(count):
             for key, base, _kind in outcome_reads[index]:
-                current = store_read(key, index)
+                current = store.read(key, index)
                 if current != observed[index].get(key, current):
                     if recorder is not None:
                         recorder.abort(index, attempt=attempts[index])
                     if obs is not None:
-                        obs.tx_abort(perf_counter() - t0, index,
-                                     attempt=attempts[index], key=key,
-                                     writer=current[1])
+                        obs.tx_abort(now(), index, attempt=attempts[index],
+                                     key=key, writer=current[1])
                     per_tx[index].aborted_times += 1
                     needs.append(index)
                     break
@@ -884,326 +502,93 @@ def run_occ_real(executor, pool, txs, snapshot, code_resolver,
         per_tx[i].gas_used = results[i].gas_used
         per_tx[i].succeeded = results[i].success
 
-    wall = perf_counter() - t0
+    wall = now()
     if obs is not None:
         obs.block_end(wall, makespan=0.0)
 
-    final: Dict[StateKey, int] = {}
-    for key, versions in store.items():
-        if versions:
-            final[key] = versions[max(versions)]
     metrics = executor._base_metrics(lanes, receipts)
     metrics.per_tx = per_tx
     metrics.seeded_views = seeded
-    _stamp(metrics, pool, dispatcher, wall)
-    return BlockExecution(writes=final, receipts=receipts, metrics=metrics)
-
-
-# ---------------------------------------------------------------------------
-# DAG: conflict-predecessor gating
-# ---------------------------------------------------------------------------
-
-
-def run_dag_real(executor, pool, txs, snapshot, code_resolver,
-                 block=None, csags=None, threads: int = 0) -> BlockExecution:
-    """Conflict-DAG execution over real workers.
-
-    A transaction dispatches once every conflicting predecessor committed,
-    so its dispatch-time view equals what read-time resolution would give
-    the simulator (when the predicted sets are complete, which is the DAG
-    baseline's stated precondition).  At most ``threads`` transactions are
-    in flight at once — the caller's logical concurrency, matching the
-    simulator's thread pool rather than the physical worker count."""
-    from ..executors.dag import build_conflict_dag
-
-    t0 = perf_counter()
-    lanes = max(1, threads) if threads else pool.size
-    block = block if block is not None else BlockContext()
-    count = len(txs)
-    recorder = executor.recorder
-    obs = executor.obs
-    if csags is None:
-        builder = CSAGBuilder(code_resolver, block=block)
-        csags = [builder.build(tx, snapshot) for tx in txs]
-    deps = build_conflict_dag(csags, executor.granularity)
-    dependents: List[List[int]] = [[] for _ in txs]
-    remaining = [len(d) for d in deps]
-    for j, dset in enumerate(deps):
-        for i in dset:
-            dependents[i].append(j)
-
-    dispatcher = _Dispatcher(pool, code_resolver)
-    dispatcher.size_for(count)
-    versions: Dict[StateKey, List[Tuple[int, int]]] = {}
-    receipts: List[Optional[Receipt]] = [None] * count
-    per_tx = [TxMetrics(index=i) for i in range(count)]
-    meta: List[Dict[StateKey, Tuple[int, int]]] = [{} for _ in range(count)]
-
-    def resolve(key: StateKey, index: int) -> Tuple[int, int]:
-        best: Optional[Tuple[int, int]] = None
-        for writer, value in versions.get(key, ()):
-            if writer < index and (best is None or writer > best[0]):
-                best = (writer, value)
-        if best is not None:
-            return best[1], best[0]
-        return snapshot.get(key), -1
-
-    if obs is not None:
-        obs.block_start(0.0, scheduler=executor.name, threads=lanes,
-                        tx_count=count)
-
-    def dispatch(index: int) -> None:
-        keys = (csags[index].read_keys | csags[index].static_read_keys
-                | _balance_keys(txs[index])
-                | dispatcher.extra_keys[index])
-        view = {}
-        meta[index] = {}
-        for key in keys:
-            value, writer = resolve(key, index)
-            view[key] = value
-            meta[index][key] = (value, writer)
-        if obs is not None:
-            obs.tx_start(perf_counter() - t0, index,
-                         thread=dispatcher.worker_for(index))
-        dispatcher.dispatch(txs[index], index, 1, view, block,
-                            commutative=False)
-
-    outstanding = 0
-    ready: List[int] = []
-
-    def pump() -> None:
-        nonlocal outstanding
-        while ready and outstanding < lanes:
-            dispatch(heapq.heappop(ready))
-            outstanding += 1
-
-    for index in range(count):
-        if remaining[index] == 0:
-            if obs is not None:
-                obs.tx_ready(0.0, index)
-            heapq.heappush(ready, index)
-    pump()
-
-    while outstanding:
-        for event in pool.collect():
-            if event.kind == "error":
-                _raise_worker_error(event)
-            if event.kind == "crash":
-                dispatcher.on_crash(event)
-                if obs is not None:
-                    obs.worker_crashed(perf_counter() - t0,
-                                       worker=event.worker,
-                                       lost=len(event.lost))
-                for task in event.lost:
-                    if task.ticket == dispatcher.tickets[task.index]:
-                        per_tx[task.index].aborted_times += 1
-                        dispatch(task.index)
-                continue
-            outcome = event.outcome
-            if dispatcher.is_stale(outcome):
-                continue
-            index = outcome.index
-            if not outcome.ok:
-                dispatcher.learn(outcome, txs[index].to)
-                dispatch(index)
-                continue
-            result = outcome.result
-            now = perf_counter() - t0
-            if recorder is not None:
-                for key, base, kind in outcome.reads:
-                    _value, writer = meta[index].get(key, (base, -1))
-                    recorder.read(index, key, writer, base,
-                                  blind=kind != 0)
-                for key, value in outcome.writes_abs:
-                    recorder.write(index, key, value=value)
-            if result.success:
-                for key, value in outcome.writes_abs:
-                    versions.setdefault(key, []).append((index, value))
-                    if recorder is not None:
-                        recorder.publish(index, key, "abs", value)
-            if recorder is not None:
-                recorder.complete(index, success=result.success,
-                                  gas_used=result.gas_used)
-            receipts[index] = Receipt(index=index, result=result)
-            per_tx[index].end_time = now
-            per_tx[index].gas_used = result.gas_used
-            per_tx[index].succeeded = result.success
-            if obs is not None:
-                obs.tx_end(now, index, success=result.success,
-                           gas_used=result.gas_used)
-            outstanding -= 1
-            for dep in dependents[index]:
-                remaining[dep] -= 1
-                if remaining[dep] == 0:
-                    if obs is not None:
-                        obs.tx_ready(perf_counter() - t0, dep)
-                    heapq.heappush(ready, dep)
-            pump()
-
-    final_receipts = [r for r in receipts if r is not None]
-    if len(final_receipts) != count:
-        missing = [i for i, r in enumerate(receipts) if r is None]
-        raise RuntimeError(f"DAG executor deadlocked; unfinished: {missing}")
-
-    wall = perf_counter() - t0
-    if obs is not None:
-        obs.block_end(wall, makespan=0.0)
-
-    writes: Dict[StateKey, int] = {}
-    for key, entries in versions.items():
-        writes[key] = max(entries, key=lambda e: e[0])[1]
-    metrics = executor._base_metrics(lanes, final_receipts)
-    metrics.per_tx = per_tx
-    _stamp(metrics, pool, dispatcher, wall)
-    return BlockExecution(writes=writes, receipts=final_receipts,
+    dispatcher.stamp(metrics, wall)
+    return BlockExecution(writes=store.final_writes(), receipts=receipts,
                           metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
-# Schedule replay: fork-join gating from a sealed artifact
+# Fork-join (DAG, schedule replay) on a worker pool
 # ---------------------------------------------------------------------------
 
 
-def run_replay_real(executor, pool, txs, snapshot, code_resolver,
-                    block, schedule, threads: int = 0) -> BlockExecution:
-    """Deterministic schedule replay over real workers.
+class PoolLanes(ForkJoin):
+    """The fork-join gate's worker-pool lanes, in wall time.
 
-    The sealed :class:`~repro.scheduling.schedule.Schedule` supplies both
-    the gating predecessors *and* each transaction's realized key set, so
-    the dispatch view ships exactly the keys the committed execution
-    touched — conflict discovery, validation, and view-miss learning are
-    all structurally idle (``view_misses`` stays 0 on a faithful replay;
-    the NeedKeys path remains as a backstop and would merely re-dispatch,
-    never diverge).  Worker crashes re-dispatch the lost transactions with
-    identical views, so results are byte-identical even mid-kill."""
-    t0 = perf_counter()
-    lanes = max(1, threads) if threads else pool.size
-    block = block if block is not None else BlockContext()
-    count = len(txs)
-    recorder = executor.recorder
-    obs = executor.obs
-    deps = [set(e.preds) for e in schedule.entries]
-    dependents: List[List[int]] = [[] for _ in txs]
-    remaining = [len(d) for d in deps]
-    for j, dset in enumerate(deps):
-        for i in dset:
-            dependents[i].append(j)
+    A transaction dispatches once every predecessor committed, so its
+    dispatch-time view equals what read-time resolution gives the
+    simulator — when ``view_keys`` is complete, which is the DAG
+    baseline's stated precondition and holds by construction for a sealed
+    schedule (conflict discovery, validation and view-miss learning are
+    then structurally idle; the ``need`` path remains as a backstop and
+    would merely re-dispatch, never diverge).  At most ``threads``
+    transactions are in flight at once — the caller's logical concurrency,
+    matching the simulator's thread pool rather than the physical worker
+    count.  A crashed worker's transactions re-dispatch with views
+    resolved from the same committed versions, so results are
+    byte-identical even mid-kill."""
 
-    dispatcher = _Dispatcher(pool, code_resolver)
-    dispatcher.size_for(count)
-    versions: Dict[StateKey, List[Tuple[int, int]]] = {}
-    receipts: List[Optional[Receipt]] = [None] * count
-    per_tx = [TxMetrics(index=i) for i in range(count)]
+    def __init__(self, *args, pool: WorkerPool,
+                 view_keys: Callable[[int], Set[StateKey]]) -> None:
+        super().__init__(*args)
+        self._t0 = perf_counter()
+        self.threads = _lanes(pool, self.threads)
+        self.view_keys = view_keys
+        self.dispatcher = _Dispatcher(
+            pool, self.resolve_code, self.txs,
+            self.block if self.block is not None else BlockContext(),
+            self.obs, self.now)
+        self.outstanding = 0
+        # Per transaction, the (value, writer) its view shipped per key.
+        self._shipped: List[Dict[StateKey, Tuple[int, int]]] = [
+            {} for _ in self.txs]
 
-    def resolve(key: StateKey, index: int) -> Tuple[int, int]:
-        best: Optional[Tuple[int, int]] = None
-        for writer, value in versions.get(key, ()):
-            if writer < index and (best is None or writer > best[0]):
-                best = (writer, value)
-        if best is not None:
-            return best[1], best[0]
-        return snapshot.get(key), -1
+    def now(self) -> float:
+        return perf_counter() - self._t0
 
-    if obs is not None:
-        obs.block_start(0.0, scheduler=executor.name, threads=lanes,
-                        tx_count=count)
+    def free(self) -> bool:
+        return self.outstanding < self.threads
 
-    def dispatch(index: int) -> None:
-        keys = (set(schedule.entries[index].reads)
-                | _balance_keys(txs[index])
-                | dispatcher.extra_keys[index])
-        view = {key: resolve(key, index)[0] for key in keys}
-        if obs is not None:
-            obs.tx_start(perf_counter() - t0, index,
-                         thread=dispatcher.worker_for(index))
-        dispatcher.dispatch(txs[index], index, 1, view, block,
-                            commutative=False)
+    def start(self, index: int) -> None:
+        self.outstanding += 1
+        if self.obs is not None:
+            self.obs.tx_start(self.now(), index,
+                              thread=self.dispatcher.worker_for(index))
+        self._dispatch(index)
 
-    outstanding = 0
-    ready: List[int] = []
+    def _dispatch(self, index: int) -> None:
+        keys = self.dispatcher.view_keys(index, self.view_keys(index))
+        shipped = {key: self.store.read(key, index) for key in keys}
+        self._shipped[index] = shipped
+        self.dispatcher.dispatch(
+            index, 1, {key: value for key, (value, _w) in shipped.items()})
 
-    def pump() -> None:
-        nonlocal outstanding
-        while ready and outstanding < lanes:
-            dispatch(heapq.heappop(ready))
-            outstanding += 1
+    def _on_outcome(self, outcome: TxOutcome) -> None:
+        index = outcome.index
+        if self.recorder is not None:
+            shipped = self._shipped[index]
+            for key, base, kind in outcome.reads:
+                _value, writer = shipped.get(key, (base, -1))
+                self.recorder.read(index, key, writer, base, blind=kind != 0)
+            for key, value in outcome.writes_abs:
+                self.recorder.write(index, key, value=value)
+        self.finish(index, outcome.result, dict(outcome.writes_abs))
 
-    for index in range(count):
-        if remaining[index] == 0:
-            if obs is not None:
-                obs.tx_ready(0.0, index)
-            heapq.heappush(ready, index)
-    pump()
+    def release(self, index: int, now: float) -> None:
+        self.outstanding -= 1
 
-    while outstanding:
-        for event in pool.collect():
-            if event.kind == "error":
-                _raise_worker_error(event)
-            if event.kind == "crash":
-                dispatcher.on_crash(event)
-                if obs is not None:
-                    obs.worker_crashed(perf_counter() - t0,
-                                       worker=event.worker,
-                                       lost=len(event.lost))
-                for task in event.lost:
-                    if task.ticket == dispatcher.tickets[task.index]:
-                        dispatch(task.index)
-                continue
-            outcome = event.outcome
-            if dispatcher.is_stale(outcome):
-                continue
-            index = outcome.index
-            if not outcome.ok:
-                dispatcher.learn(outcome, txs[index].to)
-                dispatch(index)
-                continue
-            result = outcome.result
-            now = perf_counter() - t0
-            if recorder is not None:
-                for key, base, kind in outcome.reads:
-                    recorder.read(index, key, resolve(key, index)[1], base,
-                                  blind=kind != 0)
-                for key, value in outcome.writes_abs:
-                    recorder.write(index, key, value=value)
-            if result.success:
-                for key, value in outcome.writes_abs:
-                    versions.setdefault(key, []).append((index, value))
-                    if recorder is not None:
-                        recorder.publish(index, key, "abs", value)
-            if recorder is not None:
-                recorder.complete(index, success=result.success,
-                                  gas_used=result.gas_used)
-            receipts[index] = Receipt(index=index, result=result)
-            per_tx[index].end_time = now
-            per_tx[index].gas_used = result.gas_used
-            per_tx[index].succeeded = result.success
-            if obs is not None:
-                obs.tx_end(now, index, success=result.success,
-                           gas_used=result.gas_used)
-            outstanding -= 1
-            for dep in dependents[index]:
-                remaining[dep] -= 1
-                if remaining[dep] == 0:
-                    if obs is not None:
-                        obs.tx_ready(perf_counter() - t0, dep)
-                    heapq.heappush(ready, dep)
-            pump()
+    def drive(self) -> float:
+        self.pump()
+        while self.outstanding:
+            self.dispatcher.pump(self._on_outcome, self._dispatch)
+        return 0.0
 
-    final_receipts = [r for r in receipts if r is not None]
-    if len(final_receipts) != count:
-        missing = [i for i, r in enumerate(receipts) if r is None]
-        raise RuntimeError(f"schedule replay deadlocked; unfinished: {missing}")
-
-    wall = perf_counter() - t0
-    if obs is not None:
-        obs.block_end(wall, makespan=0.0)
-
-    writes: Dict[StateKey, int] = {}
-    for key, entries in versions.items():
-        writes[key] = max(entries, key=lambda e: e[0])[1]
-    metrics = executor._base_metrics(lanes, final_receipts)
-    metrics.per_tx = per_tx
-    metrics.replayed = True
-    _stamp(metrics, pool, dispatcher, wall)
-    return BlockExecution(writes=writes, receipts=final_receipts,
-                          metrics=metrics)
+    def stamp(self, metrics) -> None:
+        self.dispatcher.stamp(metrics, metrics.wall_time)

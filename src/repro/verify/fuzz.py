@@ -130,15 +130,9 @@ class FuzzReport:
 
 
 def default_executor_factories() -> Dict[str, Callable[[], object]]:
-    from ..executors.dag import DAGExecutor
-    from ..executors.dmvcc import DMVCCExecutor
-    from ..executors.occ import OCCExecutor
+    from ..executors import EXECUTORS
 
-    return {
-        "dag": lambda: DAGExecutor(),
-        "occ": lambda: OCCExecutor(),
-        "dmvcc": lambda: DMVCCExecutor(),
-    }
+    return {name: cls for name, cls in EXECUTORS.items() if name != "serial"}
 
 
 class DifferentialFuzzer:

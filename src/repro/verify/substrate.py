@@ -18,12 +18,9 @@ to vary, while everything the chain commits to is not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..executors.dag import DAGExecutor
-from ..executors.dmvcc import DMVCCExecutor
-from ..executors.occ import OCCExecutor
-from ..executors.serial import SerialExecutor
+from ..executors import EXECUTORS
 from ..substrate import SUBSTRATE_KINDS, get_substrate
 from ..workload import Workload
 from ..workload.scenarios import SCENARIO_NAMES, scenario_config
@@ -50,15 +47,6 @@ def receipt_digest(execution) -> List[Tuple]:
          r.result.return_data, r.result.error, r.result.steps)
         for r in execution.receipts
     ]
-
-
-def _factories() -> Dict[str, Callable]:
-    return {
-        "serial": SerialExecutor,
-        "occ": OCCExecutor,
-        "dag": DAGExecutor,
-        "dmvcc": DMVCCExecutor,
-    }
 
 
 @dataclass
@@ -158,7 +146,7 @@ def run_substrate_verify(
     """Sweep scenario × scheduler × backend; every real-backend run must
     reproduce the sim baseline's receipts, writes, and sealed root."""
     scenario_names = tuple(scenarios) if scenarios else SCENARIO_NAMES
-    factories = _factories()
+    factories = EXECUTORS
     unknown = [s for s in schedulers if s not in factories]
     if unknown:
         raise ValueError(f"unknown scheduler(s): {', '.join(unknown)}")

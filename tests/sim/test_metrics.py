@@ -1,5 +1,7 @@
 """Metrics aggregation tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import BlockMetrics, TxMetrics, aggregate
@@ -55,6 +57,28 @@ class TestAggregate:
         assert total.tx_count == 9
         assert total.executions == 11
         assert total.aborts == 3
+
+    def test_no_numeric_field_is_dropped(self):
+        """Every counter a block reports must survive aggregation: a field
+        ``merge_from`` forgets silently reads as 0 for the whole workload
+        (``rescues``, the lost-wake-up alarm, did)."""
+        def filled():
+            # A real backend, so the backend-gated fields merge too.
+            metrics = BlockMetrics(scheduler="x", threads=4, backend="threads")
+            for f in dataclasses.fields(BlockMetrics):
+                if isinstance(f.default, bool):
+                    setattr(metrics, f.name, True)
+                elif isinstance(f.default, (int, float)):
+                    setattr(metrics, f.name, 3)
+            return metrics
+
+        total = aggregate([filled(), filled()])
+        dropped = [
+            f.name for f in dataclasses.fields(BlockMetrics)
+            if isinstance(f.default, (bool, int, float))
+            and getattr(total, f.name) == f.default
+        ]
+        assert dropped == []
 
     def test_speedup_is_work_weighted(self):
         """Aggregate speedup = total serial time / total makespan, not the
