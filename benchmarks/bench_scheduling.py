@@ -26,6 +26,7 @@ from repro.bench.reporting import save_results_json
 from repro.executors import DMVCCExecutor, ScheduleReplayExecutor
 from repro.scheduling import LanePlanner, Schedule
 from repro.substrate import get_substrate
+from repro.verify import receipt_digest
 from repro.verify.trace import TraceRecorder
 from repro.workload import Workload
 from repro.workload.scenarios import scenario_config
@@ -52,14 +53,6 @@ def _case(scenario):
         csags = [builder.build(tx, workload.db.latest) for tx in txs]
         _cases[scenario] = (workload, txs, csags, builder)
     return _cases[scenario]
-
-
-def _receipt_digest(execution):
-    return [
-        (r.index, r.result.status.name, r.result.gas_used,
-         r.result.return_data, r.result.error, r.result.steps)
-        for r in execution.receipts
-    ]
 
 
 def bench_planner_abort_reduction():
@@ -129,9 +122,9 @@ def _dump_divergence(scenario, backend, reference, replay, schedule):
             "backend": backend,
             "schedule": schedule.to_json(),
             "reference_receipts": [list(map(repr, r))
-                                   for r in _receipt_digest(reference)],
+                                   for r in receipt_digest(reference)],
             "replay_receipts": [list(map(repr, r))
-                                for r in _receipt_digest(replay)],
+                                for r in receipt_digest(replay)],
             "write_set_delta": {
                 repr(k): {"reference": reference.writes.get(k),
                           "replay": replay.writes.get(k)}
@@ -170,7 +163,7 @@ def bench_replay_parity_sweep():
                     substrate.close()
 
             identical = (
-                _receipt_digest(replay) == _receipt_digest(reference)
+                receipt_digest(replay) == receipt_digest(reference)
                 and replay.writes == reference.writes
             )
             root = workload.db.fork().commit(replay.writes).root_hash

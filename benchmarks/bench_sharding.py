@@ -204,7 +204,7 @@ def bench_merge_abort_drop():
 def bench_sharded_parity_smoke():
     """Every scenario × merge-mode parity on one shard count — the quick
     in-bench version of ``repro verify --shards`` (sim backend only)."""
-    from repro.verify.shard import run_shard_verify
+    from repro.verify import run_shard_verify
 
     report = run_shard_verify(
         shards=SHARDS, backends=("sim",),

@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
         return 2
     exit_code = 0
     if args.shards > 0:
-        from .verify.shard import run_shard_verify
+        from .verify import run_shard_verify
 
         shard_report = run_shard_verify(
             shards=args.shards,

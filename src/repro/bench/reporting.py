@@ -97,10 +97,11 @@ def save_results_json(path: str, payload: dict,
                       backend: Optional[str] = None,
                       shards: int = 0,
                       merge_ops: Optional[Sequence[str]] = None) -> dict:
-    """Write ``payload`` to ``path`` as stamped, indented JSON; returns the
-    stamped document."""
+    """Write ``payload`` to ``path`` (creating its directory) as stamped,
+    indented JSON; returns the stamped document."""
     document = stamp_results(dict(payload), backend=backend, shards=shards,
                              merge_ops=merge_ops)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, default=str)
     return document

@@ -25,7 +25,7 @@ docs/SCHEDULING.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from ..analysis.csag import CSAG, CSAGBuilder
@@ -34,10 +34,13 @@ from ..core.errors import InvalidBlock
 from ..core.types import Address
 from ..evm.environment import BlockContext
 from ..executors.base import BlockExecution, Executor
+from ..obs.attribution import AbortAttribution
+from ..obs.events import EventBus
 from ..scheduling.planner import LanePlan, LanePlanner
 from ..scheduling.profile import ConflictProfileStore
 from ..scheduling.schedule import BlockSidecar, Schedule
 from ..state.statedb import StateDB
+from ..verify.trace import TraceRecorder
 from .block import GENESIS_PARENT, Block, BlockHeader, make_block, validate_block_shape
 from .transaction import Transaction
 from .txpool import Packer, TransactionPool
@@ -75,12 +78,13 @@ class Validator:
         planner: Optional[LanePlanner] = None,
         emit_schedules: bool = False,
         profile_path: Optional[str] = None,
+        pool: Optional[TransactionPool] = None,
     ) -> None:
         self.name = name
         self.db = statedb
         self.executor = executor
         self.threads = threads
-        self.pool = TransactionPool()
+        self.pool = pool if pool is not None else TransactionPool()
         self.packer = packer if packer is not None else Packer()
         self.psag_cache = psag_cache if psag_cache is not None else PSAGCache()
         self.reanalyse_missing = reanalyse_missing
@@ -128,39 +132,14 @@ class Validator:
         """Pack, (optionally) plan, execute, commit, and seal the next
         block; with ``emit_schedules`` on, seal its schedule sidecar too."""
         pooled = self.packer.pack(self.pool)
+        view = self.db.latest
+        context = BlockContext(self.db.height + 1, timestamp)
         txs = [p.tx for p in pooled]
-        csags = [
-            p.csag if p.csag is not None
-            else self._builder().build(p.tx, self.db.latest)
-            for p in pooled
-        ]
-        if self.planner is not None:
-            context = BlockContext(self.db.height + 1, timestamp)
-            plan = self.planner.plan(txs, csags, self.db.latest,
-                                     self._builder(context))
-            txs = plan.apply(txs)
-            csags = plan.apply(csags)
-            self.last_plan = plan
-            self.stats.planner_repairs += plan.repairs
-            self.stats.planner_reorders += int(plan.moved)
-        execution = self._execute(txs, csags, timestamp)
+        execution = self._execute(
+            txs, self._pooled_csags(pooled, view), view, context,
+            plan_with=self._builder(context))
         snapshot = self._commit(execution)
-        block = make_block(
-            number=snapshot.height,
-            parent_hash=self._parent_hash(),
-            state_root=snapshot.root_hash,
-            txs=txs,
-            timestamp=timestamp,
-            miner=self.address,
-            gas_used=execution.metrics.total_gas,
-        )
-        self.chain.append(block.header)
-        if self.emit_schedules and execution.schedule is not None:
-            self.sidecars[block.number] = BlockSidecar(
-                block.header.block_hash, execution.schedule)
-        self.stats.proposed_blocks += 1
-        self.stats.executed_txs += len(txs)
-        return block, execution
+        return self._append_block(snapshot, txs, timestamp, execution), execution
 
     def save_profiles(self) -> bool:
         """Persist the planner's learned conflict profiles to the
@@ -214,6 +193,7 @@ class Validator:
         if self.chain:
             validate_block_shape(block, self.chain[-1])
         txs = list(block.transactions)
+        context = BlockContext(self.db.height + 1, block.header.timestamp)
         if schedule is not None:
             if isinstance(schedule, BlockSidecar):
                 if schedule.block_hash != block.header.block_hash:
@@ -230,7 +210,7 @@ class Validator:
                 )
             # Replay needs no C-SAGs; just clear any pooled copies.
             self.pool.lookup_block(txs)
-            execution = self._execute(txs, None, block.header.timestamp,
+            execution = self._execute(txs, None, self.db.latest, context,
                                       executor=self._replayer(schedule))
             self.stats.replayed_blocks += 1
         else:
@@ -247,7 +227,7 @@ class Validator:
                     self.stats.reanalysed_csags += 1
                 else:
                     csags.append(builder.build_missing(tx, self.db.latest))
-            execution = self._execute(txs, csags, block.header.timestamp)
+            execution = self._execute(txs, csags, self.db.latest, context)
         snapshot = self._commit(execution)
         if verify_root and snapshot.root_hash != block.header.state_root:
             self.stats.root_mismatches += 1
@@ -279,9 +259,73 @@ class Validator:
         replayer.recorder = self.executor.recorder
         return replayer
 
+    def _pooled_csags(self, pooled, view) -> List[CSAG]:
+        """The draft's C-SAGs: the pooled analysis, or a fresh one against
+        ``view`` for entries admitted without."""
+        builder = self._builder()
+        return [
+            p.csag if p.csag is not None else builder.build(p.tx, view)
+            for p in pooled
+        ]
+
+    def _execute(self, txs, csags, view, context: BlockContext,
+                 executor: Optional[Executor] = None,
+                 plan_with: Optional[CSAGBuilder] = None) -> BlockExecution:
+        """Run block ``context.number`` over the read ``view``.
+
+        The one home of the planner hand-off (``plan_with``, the builder
+        for prediction repair, is given when mining: the plan reorders
+        ``txs`` in place, so the caller seals the planned order), the
+        trace/abort capture, schedule emission and the flat-cache deltas.
+        """
+        if executor is None:
+            executor = self.executor
+        if plan_with is not None and self.planner is not None:
+            plan = self.planner.plan(txs, csags, view, plan_with)
+            txs[:] = plan.apply(txs)
+            csags = plan.apply(csags)
+            self.last_plan = plan
+            self.stats.planner_repairs += plan.repairs
+            self.stats.planner_reorders += int(plan.moved)
+        hits, misses = view.flat_counts()
+        kwargs = {}
+        # Serial/OCC/replay schedulers need no analysis; the others accept
+        # the pre-built C-SAGs.
+        if executor.name.startswith(("dag", "dmvcc")):
+            kwargs["csags"] = csags
+        emit = self.emit_schedules and executor is self.executor
+        with _capture(executor, "recorder", TraceRecorder, emit) as traced, \
+                _capture(executor, "obs", EventBus,
+                         self.planner is not None) as observed:
+            execution = executor.execute_block(
+                txs,
+                view,
+                self.db.codes.code_of,
+                threads=self.threads,
+                block=context,
+                **kwargs,
+            )
+        if emit:
+            trace = TraceRecorder()
+            trace.events = traced.events()
+            execution.schedule = Schedule.from_trace(
+                trace, len(txs), block_number=context.number,
+                producer=executor.name,
+            )
+        if self.planner is not None:
+            self.planner.observe(
+                AbortAttribution.from_events(observed.events()),
+                context.number)
+        # Flat-cache traffic this block generated against the view it
+        # executed over (the counters are cumulative).
+        after_hits, after_misses = view.flat_counts()
+        execution.metrics.flat_hits = after_hits - hits
+        execution.metrics.flat_misses = after_misses - misses
+        return execution
+
     def _commit(self, execution: BlockExecution):
         """Seal the block's write batch and pull the state-layer accounting
-        (commit cost + flat-cache hit rates) into the block's metrics."""
+        (commit cost, durable-log traffic) into the block's metrics."""
         snapshot = self.db.commit(execution.writes)
         report = self.db.last_commit
         metrics = execution.metrics
@@ -297,43 +341,26 @@ class Validator:
                 metrics.db_pruned_nodes = report.pruned_nodes
         return snapshot
 
-    def _execute(self, txs, csags, timestamp: int,
-                 executor: Optional[Executor] = None) -> BlockExecution:
-        context = BlockContext(number=self.db.height + 1, timestamp=timestamp)
-        snapshot = self.db.latest
-        hits, misses = snapshot.flat_hits, snapshot.flat_misses
-        if executor is None:
-            executor = self.executor
-        kwargs = {}
-        # Serial/OCC/replay schedulers need no analysis; the others accept
-        # the pre-built C-SAGs.
-        if executor.name.startswith(("dag", "dmvcc")):
-            kwargs["csags"] = csags
-        emit = self.emit_schedules and executor is self.executor
-        with _trace_capture(executor, enabled=emit) as capture:
-            with _abort_capture(executor,
-                                enabled=self.planner is not None) as aborts:
-                execution = executor.execute_block(
-                    txs,
-                    snapshot,
-                    self.db.codes.code_of,
-                    threads=self.threads,
-                    block=context,
-                    **kwargs,
-                )
-        if emit:
-            schedule = Schedule.from_trace(
-                capture.trace(), len(txs), block_number=context.number,
-                producer=executor.name,
-            )
-            execution.schedule = schedule
-        if self.planner is not None:
-            self.planner.observe(aborts.attribution(), context.number)
-        # Flat-cache traffic this block generated against the snapshot it
-        # executed over (the snapshot's counters are cumulative).
-        execution.metrics.flat_hits = snapshot.flat_hits - hits
-        execution.metrics.flat_misses = snapshot.flat_misses - misses
-        return execution
+    def _append_block(self, snapshot, txs, timestamp: int,
+                      execution: BlockExecution) -> Block:
+        """Seal the committed ``snapshot`` into the next block of this
+        node's chain, with its schedule sidecar when one was emitted."""
+        block = make_block(
+            number=snapshot.height,
+            parent_hash=self._parent_hash(),
+            state_root=snapshot.root_hash,
+            txs=txs,
+            timestamp=timestamp,
+            miner=self.address,
+            gas_used=execution.metrics.total_gas,
+        )
+        self.chain.append(block.header)
+        if execution.schedule is not None:
+            self.sidecars[block.number] = BlockSidecar(
+                block.header.block_hash, execution.schedule)
+        self.stats.proposed_blocks += 1
+        self.stats.executed_txs += len(txs)
+        return block
 
     @property
     def height(self) -> int:
@@ -343,85 +370,41 @@ class Validator:
         return self.db.latest.root_hash
 
 
-# ---------------------------------------------------------------------------
-# Instrumentation scopes (shared with the pipeline driver)
-# ---------------------------------------------------------------------------
+class _capture:
+    """Borrow (or lend) one instrumentation slot of the executor for one
+    block: ``recorder`` (the trace) or ``obs`` (the event bus).
 
-
-class _trace_capture:
-    """Borrow (or lend) the executor's trace-recorder slot for one block.
-
-    If a recorder is already attached (a verify pass), its stream is
-    shared and only the events appended during this block are exposed;
-    otherwise a fresh recorder is attached for the duration.
+    If a sink is already attached (a verify pass, the online oracle), its
+    stream is shared and only the events appended during this block are
+    exposed; otherwise a fresh one is attached for the duration.
     """
 
-    def __init__(self, executor: Executor, enabled: bool = True) -> None:
+    def __init__(self, executor: Executor, slot: str, make, enabled: bool) -> None:
         self.executor = executor
+        self.slot = slot
+        self.make = make
         self.enabled = enabled
-        self._own: Optional[object] = None
+        self._sink = None
+        self._lent = False
         self._start = 0
 
-    def __enter__(self) -> "_trace_capture":
-        if not self.enabled:
-            return self
-        from ..verify.trace import TraceRecorder
-
-        if self.executor.recorder is None:
-            self._own = TraceRecorder()
-            self.executor.recorder = self._own
-        else:
-            self._start = len(self.executor.recorder.events)
+    def __enter__(self) -> "_capture":
+        if self.enabled:
+            self._sink = getattr(self.executor, self.slot)
+            if self._sink is None:
+                self._sink = self.make()
+                self._lent = True
+                setattr(self.executor, self.slot, self._sink)
+            else:
+                self._start = len(self._sink.events)
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._own is not None and self.executor.recorder is self._own:
-            self.executor.recorder = None
+        if self._lent and getattr(self.executor, self.slot) is self._sink:
+            setattr(self.executor, self.slot, None)
 
-    def trace(self):
-        """The block's event stream (a TraceRecorder-shaped view)."""
-        from ..verify.trace import TraceRecorder
-
-        if self._own is not None:
-            return self._own
-        view = TraceRecorder()
-        recorder = self.executor.recorder
-        view.events = list(recorder.events[self._start:]) if recorder else []
-        return view
-
-
-class _abort_capture:
-    """Borrow (or lend) the executor's obs slot to collect this block's
-    abort/wait events for the planner's conflict profiles."""
-
-    def __init__(self, executor: Executor, enabled: bool = True) -> None:
-        self.executor = executor
-        self.enabled = enabled
-        self._own: Optional[object] = None
-        self._start = 0
-
-    def __enter__(self) -> "_abort_capture":
-        if not self.enabled:
-            return self
-        from ..obs.events import EventBus
-
-        if self.executor.obs is None:
-            self._own = EventBus()
-            self.executor.obs = self._own
-        else:
-            self._start = len(self.executor.obs.events)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._own is not None and self.executor.obs is self._own:
-            self.executor.obs = None
-
-    def attribution(self):
-        from ..obs.attribution import AbortAttribution
-
-        if not self.enabled:
-            return AbortAttribution()
-        bus = self._own if self._own is not None else self.executor.obs
-        events = bus.events if self._own is not None else \
-            bus.events[self._start:]
-        return AbortAttribution.from_events(events)
+    def events(self) -> list:
+        """What the slot received during the block."""
+        if self._sink is None:
+            return []
+        return self._sink.events[self._start:]

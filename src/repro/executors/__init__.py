@@ -1,6 +1,10 @@
 """Block executors: serial baseline, DAG, OCC, and DMVCC."""
 
 from .base import BlockExecution, Executor, Receipt
+from .dag import DAGExecutor, build_conflict_dag
+from .dmvcc import DMVCCExecutor
+from .occ import OCCExecutor
+from .replay import ScheduleReplayExecutor
 from .serial import SerialExecutor, run_tx_serially
 from .txprogram import (
     StorageIncrement,
@@ -10,27 +14,7 @@ from .txprogram import (
     transaction_program,
 )
 
-__all__ = [
-    "BlockExecution",
-    "Executor",
-    "Receipt",
-    "SerialExecutor",
-    "StorageIncrement",
-    "TxProgram",
-    "TxResult",
-    "TxStatus",
-    "run_tx_serially",
-    "transaction_program",
-]
-
-from .dag import DAGExecutor, build_conflict_dag
-from .dmvcc import DMVCCExecutor
-from .occ import OCCExecutor
-from .replay import ScheduleReplayExecutor
-
-# The one scheduler-name -> executor-class table; call sites select names
-# from it.  (The sharded executor is added where ``repro.shard`` is already
-# imported, so this package never imports it.)
+# The one scheduler-name -> executor-class table; executor_for() adds "sharded".
 EXECUTORS = {
     "serial": SerialExecutor,
     "dag": DAGExecutor,
@@ -38,5 +22,24 @@ EXECUTORS = {
     "dmvcc": DMVCCExecutor,
 }
 
-__all__ += ["DAGExecutor", "DMVCCExecutor", "EXECUTORS", "OCCExecutor",
-            "ScheduleReplayExecutor", "build_conflict_dag"]
+
+def executor_for(scheduler: str) -> Executor:
+    """A fresh executor by name: the table above plus ``sharded``
+    (imported lazily, because ``repro.shard`` imports this package)."""
+    if scheduler == "sharded":
+        from ..shard import ShardedDMVCCExecutor
+
+        return ShardedDMVCCExecutor()
+    if scheduler not in EXECUTORS:
+        raise ValueError(f"unknown scheduler {scheduler!r} "
+                         f"(choose from {', '.join(EXECUTORS)}, sharded)")
+    return EXECUTORS[scheduler]()
+
+
+__all__ = [
+    "BlockExecution", "DAGExecutor", "DMVCCExecutor", "EXECUTORS", "Executor",
+    "OCCExecutor", "Receipt", "ScheduleReplayExecutor", "SerialExecutor",
+    "StorageIncrement", "TxProgram", "TxResult", "TxStatus",
+    "build_conflict_dag", "executor_for", "run_tx_serially",
+    "transaction_program",
+]

@@ -33,10 +33,6 @@ class Receipt:
     result: TxResult
     attempts: int = 1
 
-    @property
-    def aborted_attempts(self) -> int:
-        return self.attempts - 1
-
 
 @dataclass
 class BlockExecution:
@@ -205,17 +201,14 @@ class Executor(ABC):
     # Shared helpers
     # ------------------------------------------------------------------
 
-    def _serial_time(self, receipts: List[Receipt]) -> float:
-        """Reference serial duration: the sum of final-attempt gas."""
-        return sum(r.result.gas_used for r in receipts) * self.gas_time_scale
-
     def _base_metrics(self, threads: int, receipts: List[Receipt]) -> BlockMetrics:
         metrics = BlockMetrics(scheduler=self.name, threads=threads)
         metrics.tx_count = len(receipts)
         metrics.total_gas = sum(r.result.gas_used for r in receipts)
-        metrics.serial_time = self._serial_time(receipts)
+        # Reference serial duration: the sum of final-attempt gas.
+        metrics.serial_time = metrics.total_gas * self.gas_time_scale
         metrics.executions = sum(r.attempts for r in receipts)
-        metrics.aborts = sum(r.aborted_attempts for r in receipts)
+        metrics.aborts = sum(r.attempts - 1 for r in receipts)
         metrics.deterministic_failures = sum(
             1 for r in receipts if not r.result.success
         )

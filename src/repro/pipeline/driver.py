@@ -1,8 +1,10 @@
 """The pipelined chain driver: overlapping block production stages.
 
-``PipelinedValidator`` decomposes the strictly-sequential
-execute→commit→persist loop of :class:`~repro.chain.validator.Validator`
-into six stages on two lanes:
+``PipelinedValidator`` *is* a :class:`~repro.chain.validator.Validator`:
+every block goes through the base class's own execute, commit and
+block-append steps.  What this module adds is *when* they run — the
+strictly-sequential execute→commit→persist loop becomes six stages on two
+lanes:
 
 * the **stream lane** (caller's thread): *ingest* (pull from the source,
   mempool admission, backpressure hysteresis), *analyse* (C-SAG building
@@ -38,16 +40,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.csag import CSAGBuilder
 from ..analysis.sag import PSAGCache
-from ..chain.block import GENESIS_PARENT, Block, BlockHeader, make_block
+from ..chain.block import Block
 from ..chain.transaction import Transaction
 from ..chain.txpool import Packer, PoolStats, TransactionPool
-from ..core.types import Address, StateKey
+from ..chain.validator import Validator
+from ..core.types import StateKey
 from ..evm.environment import BlockContext
 from ..executors.base import BlockExecution, Executor
 from ..scheduling.planner import LanePlanner
-from ..scheduling.schedule import BlockSidecar, Schedule
 from ..state.statedb import StateDB
 from .view import PendingView
 
@@ -208,7 +209,6 @@ class _SealJob:
     height: int
     txs: List[Transaction]
     execution: BlockExecution
-    timestamp: int
 
 
 @dataclass
@@ -223,7 +223,7 @@ class ExecuteRecord:
     pending_heights: Tuple[int, ...]
 
 
-class PipelinedValidator:
+class PipelinedValidator(Validator):
     """One full node driving the streaming block pipeline."""
 
     def __init__(
@@ -240,38 +240,35 @@ class PipelinedValidator:
         obs=None,
         planner: Optional[LanePlanner] = None,
         emit_schedules: bool = False,
+        profile_path: Optional[str] = None,
     ) -> None:
         if max_inflight < 0:
             raise ValueError("max_inflight must be >= 0")
-        self.name = name
-        self.db = statedb
-        self.executor = executor
-        self.threads = threads
-        self.pool = pool if pool is not None else TransactionPool(
-            max_size=4096, nonce_tracking=True,
-            base_nonce=lambda a: statedb.latest.nonce_of(a),
+        super().__init__(
+            name, statedb, executor, threads=threads,
+            pool=pool if pool is not None else TransactionPool(
+                max_size=4096, nonce_tracking=True,
+                base_nonce=lambda a: statedb.latest.nonce_of(a),
+            ),
+            packer=packer if packer is not None else Packer(
+                max_txs=256, order="fee",
+            ),
+            psag_cache=psag_cache, planner=planner,
+            emit_schedules=emit_schedules, profile_path=profile_path,
         )
-        self.packer = packer if packer is not None else Packer(
-            max_txs=256, order="fee",
-        )
-        self.psag_cache = psag_cache if psag_cache is not None else PSAGCache()
         self.max_inflight = max_inflight
         # Default ingest rate: enough to keep the packer fed with headroom.
         self.ingest_rate = ingest_rate or self.packer.max_txs * 2
         self.obs = obs
         if self.pool.obs is None:
             self.pool.obs = obs
-        self.planner = planner
-        self.emit_schedules = emit_schedules
-        self.address = Address.derive(f"validator:{name}")
-        self.chain: List[BlockHeader] = []
         self.blocks: List[Block] = []
-        # Schedule artifacts sealed alongside produced blocks, by number.
-        self.sidecars: Dict[int, BlockSidecar] = {}
         self.execute_log: List[ExecuteRecord] = []
         self.stages: Dict[str, StageStats] = {
             name: StageStats(name) for name in STAGES
         }
+        # Guards what both lanes touch: the pending write sets, the sealed
+        # chain/blocks/sidecars, and the obs sink.
         self._lock = threading.Lock()
         self._pending: Dict[int, Dict[StateKey, int]] = {}
         self._queue: "queue.Queue" = queue.Queue(maxsize=max(max_inflight, 1))
@@ -280,7 +277,7 @@ class PipelinedValidator:
         self._execute_intervals: List[Tuple[float, float]] = []
         self._commit_intervals: List[Tuple[float, float]] = []
         self._backpressure = False
-        self._report = PipelineReport(
+        self.report = PipelineReport(
             scheduler=executor.name, threads=threads,
             pipelined=max_inflight > 0, stages=self.stages,
         )
@@ -288,11 +285,6 @@ class PipelinedValidator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        """Height of the newest *sealed* block."""
-        return self.db.height
 
     @property
     def pipelined(self) -> bool:
@@ -315,7 +307,7 @@ class PipelinedValidator:
         no further draft.  Returns the :class:`PipelineReport`; the sealed
         :class:`Block` objects are in ``self.blocks`` for replay.
         """
-        report = self._report
+        report = self.report
         started = time.perf_counter()
         if self.pipelined and self._worker is None:
             self._worker = threading.Thread(
@@ -347,13 +339,10 @@ class PipelinedValidator:
                     continue
                 idle_cycles = 0
                 txs = [p.tx for p in pooled]
-                execution, view = self._execute(txs, pooled, next_height)
+                execution, view = self._execute_stage(txs, pooled, next_height)
                 if on_block is not None:
                     on_block(next_height, view, txs, execution)
-                self._submit(_SealJob(
-                    height=next_height, txs=txs, execution=execution,
-                    timestamp=next_height,
-                ))
+                self._submit(_SealJob(next_height, txs, execution))
                 produced += 1
                 report.blocks += 1
                 report.txs += len(txs)
@@ -362,6 +351,8 @@ class PipelinedValidator:
             self._drain()
             report.elapsed = time.perf_counter() - started
             report.pool = self.pool.stats
+            report.planner_repairs = self.stats.planner_repairs
+            report.planner_reorders = self.stats.planner_reorders
             report.overlap_seconds = _interval_overlap(
                 self._execute_intervals, self._commit_intervals,
             )
@@ -378,7 +369,7 @@ class PipelinedValidator:
 
     def _ingest(self, source) -> int:
         start = time.perf_counter()
-        report = self._report
+        report = self.report
         pool = self.pool
         admitted = 0
         if self._backpressure:
@@ -402,8 +393,7 @@ class PipelinedValidator:
             self._emit_backpressure(True)
         report.pool_peak = max(report.pool_peak, len(pool))
         latency = time.perf_counter() - start
-        self.stages["ingest"].record(latency, admitted)
-        self._emit_stage("ingest", latency, admitted)
+        self._stage_done("ingest", latency, admitted)
         return len(pulled)
 
     def _analyse(self) -> int:
@@ -416,8 +406,7 @@ class PipelinedValidator:
             stale = {entry.key for entry in self.planner.profiles.hot_keys()}
         built = self.pool.analyse(self._builder(), base, stale_keys=stale)
         latency = time.perf_counter() - start
-        self.stages["analyse"].record(latency, built)
-        self._emit_stage("analyse", latency, built)
+        self._stage_done("analyse", latency, built)
         return built
 
     def _pack(self, height: int):
@@ -425,11 +414,10 @@ class PipelinedValidator:
         pooled = self.packer.pack(self.pool)
         self.pool.mark_included([p.tx for p in pooled])
         latency = time.perf_counter() - start
-        self.stages["pack"].record(latency, len(pooled))
-        self._emit_stage("pack", latency, len(pooled), block=height)
+        self._stage_done("pack", latency, len(pooled), block=height)
         return pooled
 
-    def _execute(self, txs, pooled, height: int):
+    def _execute_stage(self, txs, pooled, height: int):
         start = time.perf_counter()
         view = self._speculative_view()
         self.execute_log.append(ExecuteRecord(
@@ -439,43 +427,12 @@ class PipelinedValidator:
                 h for h in self._pending_heights() if h > view.base.height
             )),
         ))
-        builder = self._builder()
-        csags = [
-            p.csag if p.csag is not None else builder.build(p.tx, view)
-            for p in pooled
-        ]
-        report = self._report
-        if self.planner is not None and len(txs) > 1:
-            plan = self.planner.plan(txs, csags, view, builder)
-            # In-place so the caller's list (travels into the sealed block
-            # and the on_block hook) sees the planned order too.
-            txs[:] = plan.apply(txs)
-            csags = plan.apply(csags)
-            report.planner_repairs += plan.repairs
-            report.planner_reorders += int(plan.moved)
-        kwargs = {}
-        if self.executor.name.startswith(("dag", "dmvcc")):
-            kwargs["csags"] = csags
-        from ..chain.validator import _abort_capture, _trace_capture
-        with _trace_capture(self.executor, enabled=self.emit_schedules) as capture:
-            with _abort_capture(self.executor,
-                                enabled=self.planner is not None) as aborts:
-                execution = self.executor.execute_block(
-                    txs,
-                    view,
-                    self.db.codes.code_of,
-                    threads=self.threads,
-                    block=BlockContext(number=height, timestamp=height),
-                    **kwargs,
-                )
-        if self.emit_schedules:
-            execution.schedule = Schedule.from_trace(
-                capture.trace(), len(txs), block_number=height,
-                producer=self.executor.name,
-            )
-        if self.planner is not None:
-            self.planner.observe(aborts.attribution(), height)
+        execution = self._execute(
+            txs, self._pooled_csags(pooled, view), view,
+            BlockContext(number=height, timestamp=height),
+            plan_with=self._builder())
         end = time.perf_counter()
+        report = self.report
         metrics = execution.metrics
         report.aborts += metrics.aborts
         report.executions += metrics.executions
@@ -483,8 +440,7 @@ class PipelinedValidator:
         report.total_gas += metrics.total_gas
         self._execute_intervals.append((start, end))
         latency = end - start
-        self.stages["execute"].record(latency, len(txs))
-        self._emit_stage("execute", latency, len(txs), block=height)
+        self._stage_done("execute", latency, len(txs), block=height)
         return execution, view
 
     def _submit(self, job: _SealJob) -> None:
@@ -494,7 +450,7 @@ class PipelinedValidator:
             self._seal(job)
             return
         if self._queue.full():
-            report = self._report
+            report = self.report
             report.queue_stalls += 1
             stall_start = time.perf_counter()
             self._queue.put(job)
@@ -519,58 +475,26 @@ class PipelinedValidator:
 
     def _seal(self, job: _SealJob) -> None:
         start = time.perf_counter()
-        snapshot = self.db.commit(job.execution.writes)
+        snapshot = self._commit(job.execution)   # not under the lock
         end = time.perf_counter()
-        commit = self.db.last_commit
         metrics = job.execution.metrics
-        persist_latency = 0.0
-        if commit is not None:
-            metrics.commit_time = commit.wall_time
-            metrics.commit_hashes = commit.hashes_computed
-            metrics.commit_nodes_sealed = commit.nodes_sealed
-            if commit.durable:
-                persist_latency = commit.fsync_time
-                metrics.db_bytes_appended = commit.bytes_appended
-                metrics.db_fsync_time = commit.fsync_time
-                metrics.db_cache_hits = commit.db_cache_hits
-                metrics.db_cache_misses = commit.db_cache_misses
-                metrics.db_pruned_nodes = commit.pruned_nodes
+        # Both stay zero on a non-durable store.
+        persist_latency = metrics.db_fsync_time
+        appended = metrics.db_bytes_appended
         seal_latency = (end - start) - persist_latency
-        block = make_block(
-            number=snapshot.height,
-            parent_hash=self.chain[-1].block_hash if self.chain else GENESIS_PARENT,
-            state_root=snapshot.root_hash,
-            txs=job.txs,
-            timestamp=job.timestamp,
-            miner=self.address,
-            gas_used=metrics.total_gas,
-        )
         with self._lock:
-            self.chain.append(block.header)
-            self.blocks.append(block)
-            if job.execution.schedule is not None:
-                self.sidecars[block.number] = BlockSidecar(
-                    block.header.block_hash, job.execution.schedule)
+            self.blocks.append(self._append_block(
+                snapshot, job.txs, job.height, job.execution))
             self._pending.pop(job.height, None)
         self._commit_intervals.append((start, end))
-        self.stages["seal"].record(seal_latency, len(job.execution.writes))
-        self.stages["persist"].record(
-            persist_latency,
-            commit.bytes_appended if commit is not None and commit.durable else 0,
-        )
-        self._emit_stage("seal", seal_latency, len(job.execution.writes),
-                         block=job.height)
-        self._emit_stage("persist", persist_latency,
-                         commit.bytes_appended
-                         if commit is not None and commit.durable else 0,
+        writes = len(job.execution.writes)
+        self._stage_done("seal", seal_latency, writes, block=job.height)
+        self._stage_done("persist", persist_latency, appended,
                          block=job.height)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _builder(self) -> CSAGBuilder:
-        return CSAGBuilder(self.db.codes.code_of, self.psag_cache)
 
     def _pending_heights(self) -> List[int]:
         with self._lock:
@@ -602,8 +526,9 @@ class PipelinedValidator:
             self._worker_error = None
             raise error
 
-    def _emit_stage(self, stage: str, latency: float, items: int,
+    def _stage_done(self, stage: str, latency: float, items: int,
                     block: int = -1) -> None:
+        self.stages[stage].record(latency, items)
         if self.obs is not None:
             with self._lock:
                 self.obs.stage_completed(

@@ -7,17 +7,11 @@ pulled through the full mempool → analyse → pack → execute → seal →
 persist pipeline, with backpressure hysteresis at the front and a bounded
 seal queue in the middle.
 
-``--check`` keeps the PR-1/PR-6 invariants *online* while streaming:
-
-* **serializability oracle** — every block's parallel execution is
-  trace-recorded and differentially checked against a fresh serial run of
-  the same packed order over the same speculative
-  :class:`~repro.pipeline.view.PendingView` it executed against;
-* **root-parity twin** — an in-memory StateDB commits the same write
-  batches on the stream lane; as blocks seal on the commit lane (possibly
-  several blocks behind the speculative head) their headers' state roots
-  are compared against the twin's root at the same height — byte-for-byte,
-  pipelining notwithstanding.
+``--check`` keeps the online invariants of :mod:`repro.verify.online`
+beside the stream: every block is oracle-checked against a fresh serial
+run over the same speculative :class:`~repro.pipeline.view.PendingView`,
+and every header the commit lane seals (possibly several blocks behind the
+speculative head) is compared against the root-parity twin.
 
 The defaults are sized so backpressure genuinely engages: the stream
 produces faster than a block consumes and the mempool is small enough to
@@ -26,15 +20,13 @@ hit its high watermark within a few blocks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..chain.txpool import Packer, TransactionPool
-from ..executors.serial import SerialExecutor
-from ..soak import _executor_for
-from ..verify.oracle import SerializabilityOracle
-from ..verify.trace import TraceRecorder
+from ..executors import executor_for
+from ..scheduling.planner import LanePlanner
+from ..verify.online import InvariantCounts, OnlineInvariants
 from ..workload.generator import Workload
 from ..workload.scenarios import scenario_config
 from .driver import PipelinedValidator, PipelineReport
@@ -42,7 +34,7 @@ from .source import WorkloadStream
 
 
 @dataclass
-class ServeReport:
+class ServeReport(InvariantCounts):
     """One serve run: the pipeline's report plus the online invariants."""
 
     scenario: str = ""
@@ -50,11 +42,6 @@ class ServeReport:
     seed: int = 0
     check: bool = False
     pipeline: PipelineReport = field(default_factory=PipelineReport)
-    oracle_checks: int = 0
-    oracle_violations: List[str] = field(default_factory=list)
-    oracle_time: float = 0.0
-    root_parity_checks: int = 0
-    root_mismatches: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -63,16 +50,8 @@ class ServeReport:
     def render(self) -> str:
         lines = [self.pipeline.render()]
         if self.check:
-            verdict = "OK" if self.ok else "FAILED"
-            lines.append(
-                f"  oracle: {self.oracle_checks} online check(s), "
-                f"{len(self.oracle_violations)} violation(s), "
-                f"{self.oracle_time:.1f}s total"
-            )
-            lines.append(
-                f"  root parity: {self.root_parity_checks} sealed root(s) "
-                f"checked, {len(self.root_mismatches)} mismatch(es): {verdict}"
-            )
+            lines += self.invariant_lines()
+            lines[-1] += ": OK" if self.ok else ": FAILED"
             for detail in (
                 self.oracle_violations[:5] + self.root_mismatches[:5]
             ):
@@ -87,47 +66,9 @@ class ServeReport:
             "seed": self.seed,
             "check": self.check,
         })
-        data["invariants"] = {
-            "oracle_checks": self.oracle_checks,
-            "oracle_violations": self.oracle_violations,
-            "oracle_time_s": round(self.oracle_time, 2),
-            "root_parity_checks": self.root_parity_checks,
-            "root_mismatches": self.root_mismatches,
-        }
+        data["invariants"] = self.invariants_dict()
         data["ok"] = self.ok
         return data
-
-
-class _RecordingExecutor:
-    """Wrap an executor so each ``execute_block`` runs under a fresh
-    :class:`TraceRecorder`; the stream lane reads ``last_trace`` right
-    after the execute stage (same thread, so never racy)."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.last_trace: Optional[TraceRecorder] = None
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def obs(self):
-        return self.inner.obs
-
-    @obs.setter
-    def obs(self, bus) -> None:
-        self.inner.obs = bus
-
-    def execute_block(self, *args, **kwargs):
-        recorder = TraceRecorder()
-        previous = self.inner.recorder
-        self.inner.recorder = recorder
-        try:
-            return self.inner.execute_block(*args, **kwargs)
-        finally:
-            self.inner.recorder = previous
-            self.last_trace = recorder
 
 
 def run_serve(
@@ -183,22 +124,7 @@ def run_serve(
         directory = None
         db = twin.fork()
 
-    executor = _executor_for(scheduler)
-    if check:
-        executor = _RecordingExecutor(executor)
-    # Learned-profile continuity across serve runs: with --profile-db the
-    # lane planner boots from the persisted heat (if any) and writes the
-    # updated store back when the stream drains.
-    planner = None
-    if profile_db:
-        from ..scheduling.planner import LanePlanner
-        from ..scheduling.profile import ConflictProfileStore
-
-        try:
-            profiles = ConflictProfileStore.load(profile_db)
-        except OSError:
-            profiles = ConflictProfileStore()
-        planner = LanePlanner(profiles=profiles)
+    executor = executor_for(scheduler)
     pool = TransactionPool(
         max_size=pool_size or txs_per_block * 6,
         min_fee=min_fee,
@@ -214,89 +140,44 @@ def run_serve(
         "serve", db, executor, threads=threads,
         pool=pool, packer=packer, max_inflight=max_inflight,
         ingest_rate=ingest_rate or txs_per_block * 2, obs=obs,
-        planner=planner,
+        # Learned-profile continuity across serve runs: the node boots the
+        # planner from the persisted heat (if any) and save_profiles()
+        # writes the updated store back when the stream drains.
+        planner=LanePlanner() if profile_db else None,
+        profile_path=profile_db,
     )
     source = WorkloadStream(workload, limit=blocks * txs_per_block)
 
     report = ServeReport(
         scenario=scenario, backend=backend, seed=seed, check=check,
     )
-    serial = SerialExecutor()
-    twin_roots: Dict[int, bytes] = {}
-    parity_cursor = [0]  # index into driver.chain already compared
-
-    def check_sealed_roots() -> None:
-        """Compare every newly sealed header against the twin (online —
-        called from the stream lane each block and once after the drain)."""
-        with driver._lock:
-            headers = driver.chain[parity_cursor[0]:]
-        for header in headers:
-            parity_cursor[0] += 1
-            report.root_parity_checks += 1
-            expected = twin_roots.get(header.number)
-            if expected is None:
-                report.root_mismatches.append(
-                    f"block {header.number}: sealed with no twin root"
-                )
-            elif header.state_root != expected:
-                report.root_mismatches.append(
-                    f"block {header.number}: sealed root "
-                    f"{header.state_root.hex()[:16]} != twin "
-                    f"{expected.hex()[:16]}"
-                )
+    invariants = OnlineInvariants(report, twin, executor) if check else None
 
     def on_block(height, view, txs, execution) -> None:
-        if check:
-            oracle_start = time.perf_counter()
-            serial_run = serial.execute_block(
-                txs, view, twin.codes.code_of, threads=1,
-            )
-            oracle = SerializabilityOracle(snapshot_get=view.get_uncached)
-            verdict = oracle.check(
-                trace=executor.last_trace,
-                parallel_writes=execution.writes,
-                parallel_receipts=execution.receipts,
-                serial_writes=serial_run.writes,
-                serial_receipts=serial_run.receipts,
-                scheduler=executor.name,
-            )
-            report.oracle_time += time.perf_counter() - oracle_start
-            report.oracle_checks += 1
-            if not verdict.ok:
-                for divergence in verdict.divergences[:3]:
-                    report.oracle_violations.append(
-                        f"block {height}: {divergence}"
-                    )
-            twin.commit(execution.writes)
-            twin_roots[height] = twin.latest.root_hash
-            check_sealed_roots()
+        if invariants is not None:
+            invariants.check_block(height, view, txs, execution)
+            invariants.check_sealed(driver.chain)
         if progress is not None and height % max(progress_every, 1) == 0:
             progress(
                 f"block {height}/{blocks}: pool {len(driver.pool)}, "
-                f"{driver._report.queue_stalls} stall(s), "
-                f"{driver._report.backpressure_engagements} backpressure "
+                f"{driver.report.queue_stalls} stall(s), "
+                f"{driver.report.backpressure_engagements} backpressure "
                 f"engagement(s)"
             )
 
     try:
         report.pipeline = driver.run(source, blocks, on_block=on_block)
-        if check:
-            check_sealed_roots()  # headers sealed after the last on_block
+        if invariants is not None:
+            invariants.check_sealed(driver.chain)  # sealed after the last hook
     finally:
         driver.close()
-        if planner is not None:
-            planner.profiles.save(profile_db)
+        driver.save_profiles()
         db.close()
         if backend == "durable" and own_dir:
             shutil.rmtree(directory, ignore_errors=True)
 
     if report_path:
-        import os
-
         from ..bench.reporting import save_results_json
 
-        parent = os.path.dirname(report_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         save_results_json(report_path, report.as_dict())
     return report

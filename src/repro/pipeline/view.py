@@ -17,7 +17,8 @@ this as a property).
 The view quacks like a :class:`~repro.state.statedb.Snapshot` everywhere
 executors and the C-SAG builder look: ``get`` / ``get_uncached``,
 ``balance_of`` / ``nonce_of``, ``height``, ``root_hash`` and the
-``flat_hits``/``flat_misses`` counters.  ``root_hash`` is the *base*
+``flat_hits``/``flat_misses`` counters (the overlay's own; ``flat_counts()``
+adds the base snapshot's).  ``root_hash`` is the *base*
 snapshot's root (the newest sealed commitment) — the overlay has no root
 until its blocks seal, and C-SAG cache keys only need a stable identity.
 """
@@ -78,6 +79,12 @@ class PendingView:
         if value is not _MISS:
             return value
         return self._base.get_uncached(key)
+
+    def flat_counts(self) -> Tuple[int, int]:
+        """Cumulative ``(hits, misses)`` of reads through this view: the
+        overlay's hits plus the traffic that fell through to the base."""
+        return (self.flat_hits + self._base.flat_hits,
+                self.flat_misses + self._base.flat_misses)
 
     def balance_of(self, address: Address) -> int:
         return self.get(StateKey.balance(address))

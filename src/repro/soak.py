@@ -7,12 +7,10 @@ The paper's evaluation (and our benches) replays blocks; this module
 durable storage engine for thousands of blocks, with every production
 subsystem engaged at once —
 
-* **online serializability oracle** — every block's parallel execution is
-  trace-recorded and differentially checked against a fresh serial run of
-  the same block (PR 1's oracle as a *continuous* invariant, not a test);
-* **root parity twin** — an in-memory StateDB commits the same write
-  batches; after every block the durable root must be byte-identical to
-  the twin's (the PR-5 durable-vs-memory differential, continuously);
+* **online invariants** (:mod:`repro.verify.online`) — every block is
+  oracle-checked against a fresh serial run over the same pre-state, and
+  every sealed root must equal the in-memory twin's (PR 1's oracle and the
+  PR-5 durable-vs-memory differential as *continuous* invariants);
 * **mid-stream crash injection** — at scheduled blocks the durable store
   is reopened with a :class:`~repro.db.faults.FaultPlan` armed to kill the
   log mid-append; after the induced :class:`InjectedCrash` the store is
@@ -42,10 +40,9 @@ from typing import Callable, Dict, List, Optional
 
 from .chain.validator import Validator
 from .db.faults import FaultPlan, InjectedCrash
-from .executors.serial import SerialExecutor
+from .executors import executor_for
 from .state.statedb import StateDB
-from .verify.oracle import SerializabilityOracle
-from .verify.trace import TraceRecorder
+from .verify.online import InvariantCounts, OnlineInvariants
 from .workload.generator import Workload
 from .workload.scenarios import scenario_config
 
@@ -77,7 +74,7 @@ class SoakSample:
 
 
 @dataclass
-class SoakReport:
+class SoakReport(InvariantCounts):
     """Aggregate outcome of one soak run."""
 
     blocks: int = 0
@@ -91,11 +88,6 @@ class SoakReport:
     aborts: int = 0
     executions: int = 0
     deterministic_failures: int = 0
-    oracle_checks: int = 0
-    oracle_violations: List[str] = field(default_factory=list)
-    oracle_time: float = 0.0
-    root_parity_checks: int = 0
-    root_mismatches: List[str] = field(default_factory=list)
     crashes_scheduled: int = 0
     crashes_fired: int = 0
     crash_survivals: int = 0      # byte budget outlived the append
@@ -131,11 +123,7 @@ class SoakReport:
             f"  aborts: {self.aborts}/{self.executions} attempts "
             f"(rate {self.abort_rate:.3f}), "
             f"{self.deterministic_failures} deterministic revert(s)",
-            f"  oracle: {self.oracle_checks} online check(s), "
-            f"{len(self.oracle_violations)} violation(s), "
-            f"{self.oracle_time:.1f}s total",
-            f"  root parity: {self.root_parity_checks} check(s), "
-            f"{len(self.root_mismatches)} mismatch(es)",
+            *self.invariant_lines(),
             f"  crashes: {self.crashes_scheduled} scheduled, "
             f"{self.crashes_fired} fired mid-append, "
             f"{self.crash_survivals} outlived the budget, "
@@ -194,20 +182,6 @@ class SoakReport:
         }
 
 
-def _executor_for(scheduler: str):
-    from .executors import EXECUTORS
-    from .shard import ShardedDMVCCExecutor
-
-    factories = {**EXECUTORS, "sharded": ShardedDMVCCExecutor}
-    try:
-        return factories[scheduler]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r} "
-            f"(choose from {', '.join(factories)})"
-        ) from None
-
-
 class _SoakRun:
     """State of one soak: validator, twin, crash schedule, accounting."""
 
@@ -258,9 +232,10 @@ class _SoakRun:
             self.dir = None
             db = self.twin.fork()
         self.validator = Validator(
-            "soak", db, _executor_for(scheduler), threads=threads,
+            "soak", db, executor_for(scheduler), threads=threads,
         )
-        self.serial = SerialExecutor()
+        self.invariants = OnlineInvariants(
+            self.report, self.twin, self.validator.executor)
 
     def _schedule_crashes(self, crashes: int) -> List[int]:
         if not crashes:
@@ -280,51 +255,15 @@ class _SoakRun:
         pre = validator.db.latest
         for tx in txs:
             validator.receive_transaction(tx)
-        recorder = TraceRecorder()
-        previous = validator.executor.recorder
-        validator.executor.recorder = recorder
-        try:
-            block, execution = validator.propose_block(timestamp=number)
-        finally:
-            validator.executor.recorder = previous
+        block, execution = validator.propose_block(timestamp=number)
         report = self.report
         report.aborts += execution.metrics.aborts
         report.executions += execution.metrics.executions
         report.deterministic_failures += execution.metrics.deterministic_failures
-        commit = validator.db.last_commit
-        if commit is not None and commit.durable:
-            report.db_bytes_appended += commit.bytes_appended
-        # Online invariant 1: serializability against a fresh serial run
-        # of the same block over the same pre-state.
-        oracle_start = time.perf_counter()
-        ordered = list(block.transactions)
-        serial = self.serial.execute_block(
-            ordered, pre, self.twin.codes.code_of, threads=1,
-        )
-        oracle = SerializabilityOracle(snapshot_get=pre.get)
-        verdict = oracle.check(
-            trace=recorder,
-            parallel_writes=execution.writes,
-            parallel_receipts=execution.receipts,
-            serial_writes=serial.writes,
-            serial_receipts=serial.receipts,
-            scheduler=validator.executor.name,
-        )
-        self._oracle_window += time.perf_counter() - oracle_start
-        report.oracle_time += time.perf_counter() - oracle_start
-        report.oracle_checks += 1
-        if not verdict.ok:
-            for divergence in verdict.divergences[:3]:
-                report.oracle_violations.append(f"block {number}: {divergence}")
-        # Online invariant 2: durable root == in-memory twin root.
-        self.twin.commit(execution.writes)
-        report.root_parity_checks += 1
-        if self.twin.latest.root_hash != validator.db.latest.root_hash:
-            report.root_mismatches.append(
-                f"block {number}: durable root "
-                f"{validator.db.latest.root_hash.hex()[:16]} != twin "
-                f"{self.twin.latest.root_hash.hex()[:16]}"
-            )
+        report.db_bytes_appended += execution.metrics.db_bytes_appended
+        self.invariants.check_block(
+            number, pre, block.transactions, execution)
+        self.invariants.check_sealed(validator.chain)
         return execution
 
     # -- crash-recovery cycle ------------------------------------------
@@ -347,6 +286,7 @@ class _SoakRun:
             crashed = False
         except InjectedCrash:
             crashed = True
+            self.invariants.rearm()   # drop the dead block's trace
         # Simulated process death: the wounded handle is abandoned unclosed
         # either way; a clean reopen replays the log and truncates any torn
         # tail, exactly like a restart after power loss.
@@ -389,7 +329,7 @@ class _SoakRun:
         window_blocks = 0
         window_aborts = 0
         window_execs = 0
-        self._oracle_window = 0.0
+        window_oracle = 0.0      # report.oracle_time when the window opened
         crash_schedule = set(self.crash_blocks)
         try:
             for index in range(self.blocks):
@@ -423,7 +363,7 @@ class _SoakRun:
                         ),
                         db_bytes=report.db_bytes_appended,
                         bytes_reclaimed=report.db_bytes_reclaimed,
-                        oracle_time=self._oracle_window,
+                        oracle_time=report.oracle_time - window_oracle,
                         crashes=report.crashes_fired,
                     )
                     report.samples.append(sample)
@@ -447,7 +387,7 @@ class _SoakRun:
                         )
                     window_started = now
                     window_blocks = window_aborts = window_execs = 0
-                    self._oracle_window = 0.0
+                    window_oracle = report.oracle_time
         finally:
             report.elapsed = time.perf_counter() - started
             self.validator.db.close()
@@ -498,12 +438,7 @@ def run_soak(
     )
     report = run.run()
     if report_path:
-        import os
-
         from .bench.reporting import save_results_json
 
-        parent = os.path.dirname(report_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         save_results_json(report_path, report.as_dict())
     return report

@@ -128,6 +128,10 @@ class Snapshot:
         raw = self._trie.get(key.trie_key())
         return decode_int(raw) if raw is not None else 0
 
+    def flat_counts(self) -> Tuple[int, int]:
+        """Cumulative ``(hits, misses)`` of reads through this view."""
+        return self.flat_hits, self.flat_misses
+
     def balance_of(self, address: Address) -> int:
         return self.get(StateKey.balance(address))
 
@@ -413,15 +417,19 @@ class StateDB:
         """
         if len(self._snapshots) != 1:
             raise StateError("genesis can only be seeded on a fresh StateDB")
+        flat: Dict[StateKey, int] = {
+            StateKey.balance(address): balance
+            for address, balance in balances.items()
+        }
+        flat.update(storage or {})
+        # One batched trie commit, as mirror_durable does: intermediate
+        # tree shapes are never hashed or stored.  Zero values stay out of
+        # the trie (an empty encoding is a delete) but stay in ``flat``.
         trie = Trie(self._store)
-        flat: Dict[StateKey, int] = {}
-        for address, balance in sorted(balances.items()):
-            trie.set(StateKey.balance(address).trie_key(), encode_int(balance))
-            flat[StateKey.balance(address)] = balance
-        for key, value in sorted((storage or {}).items()):
-            if value:
-                trie.set(key.trie_key(), encode_int(value))
-            flat[key] = value
+        trie.commit_batch(
+            (key.trie_key(), encode_int(value))
+            for key, value in flat.items() if value
+        )
         # Durable stores seal genesis under a commit marker too, so a
         # reopened chain recovers its seeded height-0 root.
         self._store.commit_root(trie.root, 0)

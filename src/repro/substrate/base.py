@@ -57,14 +57,11 @@ class Substrate:
         self.task_timeout = task_timeout
         self._pools: Dict[int, WorkerPool] = {}
 
-    def worker_count(self, threads: int) -> int:
-        return self.workers if self.workers else max(int(threads), 1)
-
     def acquire(self, threads: int) -> Optional[WorkerPool]:
         """The pool to run on, or ``None`` for the simulator path."""
         if self.kind == "sim":
             return None
-        size = self.worker_count(threads)
+        size = self.workers if self.workers else max(int(threads), 1)
         pool = self._pools.get(size)
         if pool is None:
             pool = make_pool(self.kind, size, seed=self.seed,

@@ -15,21 +15,26 @@ instead of trusting the schedulers to be right:
 * :mod:`.crash`  — crash-recovery fuzzing of the durable storage engine
   (``repro.db``): seeded random blocks, a fault-injected crash at a random
   byte offset, and a recovery check against an in-memory twin;
-* :mod:`.substrate` — differential backend parity: every scenario preset ×
-  scheduler run on real threads and real multiprocessing workers must
+* :mod:`.parity` — the two differential parity sweeps: every scenario
+  preset × scheduler on real threads and real multiprocessing workers must
   reproduce the discrete-event simulator's receipts, writes, and sealed
-  root byte-for-byte;
-* :mod:`.shard` — differential sharding parity: every scenario preset ×
-  backend run under the sharded executor (plain and merge-declared) must
-  reproduce the serial reference byte-for-byte.
+  root byte-for-byte, and every preset × backend under the sharded executor
+  (plain and merge-declared) must reproduce the serial reference;
+* :mod:`.online` — the oracle and a root-parity twin kept *online* beside
+  a producing node (the ``soak`` and ``serve --check`` invariants).
 """
 
 from .trace import TraceRecorder
 from .oracle import OracleReport, SerializabilityOracle, check_block
 from .fuzz import DifferentialFuzzer, FuzzReport
 from .crash import CrashReport, run_crash_campaign
-from .substrate import SubstrateReport, run_substrate_verify
-from .shard import ShardReport, run_shard_verify
+from .parity import (
+    ParityReport,
+    receipt_digest,
+    run_shard_verify,
+    run_substrate_verify,
+)
+from .online import InvariantCounts, OnlineInvariants
 
 __all__ = [
     "TraceRecorder",
@@ -40,8 +45,10 @@ __all__ = [
     "FuzzReport",
     "CrashReport",
     "run_crash_campaign",
-    "SubstrateReport",
+    "ParityReport",
+    "receipt_digest",
     "run_substrate_verify",
-    "ShardReport",
     "run_shard_verify",
+    "InvariantCounts",
+    "OnlineInvariants",
 ]

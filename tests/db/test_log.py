@@ -11,6 +11,7 @@ from repro.db.log import (
     KIND_COMMIT,
     KIND_NODE,
     MAGIC,
+    LogError,
     SegmentedLog,
     decode_commit_payload,
     decode_node_payload,
@@ -46,6 +47,29 @@ class TestRoundtrip:
         log = SegmentedLog(str(tmp_path))
         sid, offset = log.append(KIND_NODE, b"hello world")
         assert log.read(sid, offset, 11) == b"hello world"
+        log.close()
+
+    def test_reads_follow_the_growing_log(self, tmp_path):
+        """Reads slice a map of the segment: bytes appended after the map
+        was made, a segment sealed by a roll, and a segment that truncation
+        made active again must all read back."""
+        log = SegmentedLog(str(tmp_path), segment_bytes=64)
+        first = log.append(KIND_NODE, b"one" * 10)
+        assert log.read(*first, 30) == b"one" * 10          # maps segment 0
+        second = log.append(KIND_NODE, b"two" * 10)         # past that map
+        assert log.read(*second, 30) == b"two" * 10
+        assert log.maybe_roll()
+        third = log.append(KIND_NODE, b"three")
+        assert third[0] == first[0] + 1
+        assert log.read(*first, 30) == b"one" * 10          # sealed segment
+        assert log.read(*third, 5) == b"three"
+        log.truncate_to(second[0], second[1] + 30)         # drops segment 1
+        fourth = log.append(KIND_NODE, b"four")
+        assert fourth[0] == first[0]
+        assert log.read(*fourth, 4) == b"four"
+        assert log.read(*second, 30) == b"two" * 10
+        with pytest.raises(LogError):
+            log.read(fourth[0], fourth[1], 400)            # past the end
         log.close()
 
     def test_node_payload_helpers(self):

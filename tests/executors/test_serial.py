@@ -78,3 +78,21 @@ class TestSerialExecution:
         ex1 = SerialExecutor().execute_block(txs, db1.latest, db1.codes.code_of)
         ex2 = SerialExecutor().execute_block(txs, db2.latest, db2.codes.code_of)
         assert db1.commit(ex1.writes).root_hash == db2.commit(ex2.writes).root_hash
+
+
+class TestExecutorLookup:
+    def test_every_scheduler_name_resolves(self):
+        from repro.executors import EXECUTORS, executor_for
+        from repro.shard import ShardedDMVCCExecutor
+
+        for name, cls in EXECUTORS.items():
+            assert type(executor_for(name)) is cls
+        assert isinstance(executor_for("sharded"), ShardedDMVCCExecutor)
+
+    def test_unknown_scheduler_names_the_choices(self):
+        import pytest
+
+        from repro.executors import executor_for
+
+        with pytest.raises(ValueError, match="choose from serial, .*sharded"):
+            executor_for("papyrus")

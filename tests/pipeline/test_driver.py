@@ -167,3 +167,31 @@ class TestValidation:
         for height, view_height, n_txs, has_execution in seen:
             assert view_height == height - 1
             assert n_txs > 0 and has_execution
+
+
+class TestBlockMetrics:
+    @pytest.mark.parametrize("max_inflight", [0, 2])
+    def test_flat_cache_traffic_is_counted(self, max_inflight):
+        # Blocks executed over a PendingView go through the same execute
+        # step as Validator.propose_block, so their metrics carry the
+        # block's flat-cache traffic: overlay hits plus what fell through
+        # to the sealed base.
+        workload, source = fresh_stream(seed=7)
+        driver = PipelinedValidator(
+            "flat", workload.db.fork(), DMVCCExecutor(), threads=2,
+            packer=Packer(max_txs=TXS_PER_BLOCK, order="fee"),
+            max_inflight=max_inflight,
+        )
+        metrics = []
+        try:
+            driver.run(
+                source, 3,
+                on_block=lambda h, view, txs, execution: metrics.append(
+                    execution.metrics),
+            )
+        finally:
+            driver.close()
+        assert len(metrics) == 3
+        for block in metrics:
+            assert block.flat_hits + block.flat_misses > 0
+            assert 0.0 < block.flat_hit_rate <= 1.0

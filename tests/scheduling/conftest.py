@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.verify import receipt_digest  # noqa: F401  (the suites import it from here)
 from repro.workload import Workload
 from repro.workload.scenarios import scenario_config
 
@@ -38,11 +39,3 @@ def processes_substrate():
     substrate.close()
 
 
-def receipt_digest(execution):
-    """Consensus-visible receipt fields; ``attempts`` is timing-dependent
-    on real backends and deliberately excluded."""
-    return [
-        (r.index, r.result.status.name, r.result.gas_used,
-         r.result.return_data, r.result.error, r.result.steps)
-        for r in execution.receipts
-    ]

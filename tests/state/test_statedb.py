@@ -38,6 +38,30 @@ class TestGenesis:
         empty.seed_genesis({})
         assert db.latest.root_hash == empty.latest.root_hash
 
+    def test_seed_root_equals_per_key_inserts(self):
+        # Genesis is one batched trie commit; the root must be the one a
+        # key-by-key build gives, zero balances and zero slots included
+        # (absent from the trie, still answered by the flat layer).
+        from repro.core.encoding import encode_int
+        from repro.trie import Trie
+
+        balances = {Address.derive(f"acct{i}"): i * 1000 for i in range(40)}
+        storage = {StateKey(CONTRACT, slot): slot % 3 for slot in range(60)}
+        db = StateDB()
+        db.seed_genesis(balances, storage)
+        reference = Trie()
+        for address, balance in balances.items():
+            reference.set(StateKey.balance(address).trie_key(),
+                          encode_int(balance))
+        for key, value in storage.items():
+            if value:
+                reference.set(key.trie_key(), encode_int(value))
+        assert db.latest.root_hash == reference.root_hash
+        assert db.latest.balance_of(Address.derive("acct0")) == 0
+        assert db.latest.get(StateKey(CONTRACT, 3)) == 0
+        assert db.latest.get_uncached(StateKey(CONTRACT, 4)) == 1
+        assert db.latest.flat_misses == 0
+
     def test_seed_after_commit_rejected(self):
         db = StateDB()
         db.commit({})
