@@ -9,6 +9,7 @@ target account, not of the transaction itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..core.encoding import encode_int, rlp_encode
@@ -43,8 +44,10 @@ class Transaction:
         if self.nonce < 0:
             raise InvalidTransaction("negative nonce")
 
-    @property
+    @cached_property
     def tx_hash(self) -> bytes:
+        # Once per instance: the fields are frozen, and ``cached_property``
+        # writes ``__dict__`` directly, past the frozen ``__setattr__``.
         return keccak(
             rlp_encode([
                 self.sender.to_bytes(),

@@ -29,6 +29,7 @@ original FIFO pool for zero-fee transactions.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -348,37 +349,38 @@ class TransactionPool:
         """Pop up to ``count`` transactions, highest fee first (ties by
         arrival).  With nonce tracking on, a sender's transactions are only
         eligible in nonce order starting at its floor — a gapped nonce
-        parks until the gap fills."""
+        parks until the gap fills.
+
+        Only each sender's head (its next eligible nonce) competes, from a
+        heap keyed ``(-fee, arrival)``; taking a head pushes that sender's
+        next nonce.  Arrivals are unique, so the key is a total order and
+        the pick sequence is the same as rescanning every head per take."""
         if not self.nonce_tracking:
-            order = sorted(
-                self._pool.values(), key=lambda p: (-p.fee, p.arrival)
+            taken = heapq.nsmallest(
+                count, self._pool.values(), key=lambda p: (-p.fee, p.arrival)
             )
-            taken = order[:count]
             for pooled in taken:
                 self._drop(pooled.tx.tx_hash, "taken")
             return taken
-        # Per-sender nonce cursors: only the head (cursor nonce) of each
-        # sender competes on fee; picking it advances the cursor.
-        cursors: Dict[Address, int] = {
-            sender: self.floor_of(sender) for sender in self._by_sender
-        }
-        taken = []
-        while len(taken) < count:
-            head_best: Optional[PooledTransaction] = None
-            for sender, nonce in cursors.items():
-                tx_hash = self._by_sender.get(sender, {}).get(nonce)
-                if tx_hash is None:
-                    continue
-                pooled = self._pool[tx_hash]
-                if head_best is None or (-pooled.fee, pooled.arrival) < (
-                    -head_best.fee, head_best.arrival
-                ):
-                    head_best = pooled
-            if head_best is None:
-                break
-            cursors[head_best.tx.sender] = head_best.tx.nonce + 1
-            self._drop(head_best.tx.tx_hash, "taken")
-            taken.append(head_best)
+        pool = self._pool
+        by_sender = self._by_sender
+        heap = []
+        for sender, slots in by_sender.items():
+            tx_hash = slots.get(self.floor_of(sender))
+            if tx_hash is not None:
+                pooled = pool[tx_hash]
+                heap.append((-pooled.fee, pooled.arrival, tx_hash))
+        heapq.heapify(heap)
+        taken: List[PooledTransaction] = []
+        while heap and len(taken) < count:
+            tx_hash = heapq.heappop(heap)[2]
+            pooled = self._drop(tx_hash, "taken")
+            taken.append(pooled)
+            tx = pooled.tx
+            next_hash = by_sender.get(tx.sender, {}).get(tx.nonce + 1)
+            if next_hash is not None:
+                nxt = pool[next_hash]
+                heapq.heappush(heap, (-nxt.fee, nxt.arrival, next_hash))
         return taken
 
     def remove(self, tx_hash: bytes) -> bool:

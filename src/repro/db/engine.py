@@ -220,7 +220,12 @@ class DurableBackend:
         cache = self._cache
         encoded = cache.get(digest)
         if encoded is not None:
-            cache.move_to_end(digest)
+            # Both pipeline lanes read here without a lock: the other lane
+            # may evict ``digest`` between the lookup and the reorder.
+            try:
+                cache.move_to_end(digest)
+            except KeyError:
+                pass
             self.cache_hits += 1
             return encoded
         loc = self._index.get(digest)
@@ -264,7 +269,10 @@ class DurableBackend:
         cache = self._cache
         cache[digest] = encoded
         if len(cache) > self._cache_nodes:
-            cache.popitem(last=False)
+            try:
+                cache.popitem(last=False)
+            except KeyError:
+                pass  # the other lane evicted the last surplus entry
 
     # ------------------------------------------------------------------
     # Reachability
@@ -346,8 +354,10 @@ class DurableBackend:
         self._log.delete_segments_before(first_new)
         pruned = len(self._index) - len(new_index)
         self._index = new_index
-        for digest in [d for d in self._cache if d not in new_index]:
-            del self._cache[digest]
+        # ``list`` copies the keys in one C call, so a reorder by a reader
+        # on the other lane cannot break the sweep.
+        for digest in [d for d in list(self._cache) if d not in new_index]:
+            self._cache.pop(digest, None)
         self.roots = list(retained)
         self.pruned_total += pruned
         self._mark_bytes = self._log.appended_bytes

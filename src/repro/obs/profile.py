@@ -138,11 +138,17 @@ class ProfileReport:
                     f"wall={commit.wall_time * 1e3:7.2f}ms  "
                     f"flat-cache={rate:6.2%} of {reads} reads")
                 if commit.durable:
+                    # Decoded nodes sit in front of the byte cache, so the
+                    # node-cache rate covers only the reads they missed.
+                    node_reads = commit.decoded_hits + commit.decoded_misses
+                    node_rate = (commit.decoded_hits / node_reads
+                                 if node_reads else 0.0)
                     db_reads = commit.db_cache_hits + commit.db_cache_misses
                     db_rate = commit.db_cache_hits / db_reads if db_reads else 0.0
                     lines.append(
                         f"    └ durable: appended={commit.bytes_appended}B "
                         f"fsync={commit.fsync_time * 1e3:6.2f}ms "
+                        f"decoded-nodes={node_rate:6.2%} of {node_reads} reads "
                         f"node-cache={db_rate:6.2%} of {db_reads} reads "
                         f"pruned={commit.pruned_nodes}")
 

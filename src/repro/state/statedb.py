@@ -67,6 +67,8 @@ class CommitReport:
     root: bytes = b""
     flat_hits: int = 0
     flat_misses: int = 0
+    decoded_hits: int = 0      # decoded-node cache hits since the last commit
+    decoded_misses: int = 0    # node reads that decoded backend bytes
     # Durable-backend accounting (zero when running in-memory):
     durable: bool = False
     bytes_appended: int = 0    # log bytes this commit added (nodes + marker)
@@ -313,6 +315,7 @@ class StateDB:
             report.deletes = stats.deletes
             report.nodes_sealed = stats.nodes_sealed
         report.hashes_computed = store.hash_count - base_hashes
+        report.decoded_hits, report.decoded_misses = store.take_decoded_counts()
         io = self._store.commit_root(trie.root, height)
         if io is not None:
             report.durable = True

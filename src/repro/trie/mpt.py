@@ -14,6 +14,7 @@ state trie per block.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..core.errors import MissingNodeError, TrieError
@@ -37,6 +38,10 @@ EMPTY_ROOT = node_hash(LeafNode((), b""))  # sentinel; never stored
 # the hot path.
 MEMO_MAX = 1 << 15
 
+# Decoded nodes kept in front of the backend, LRU-ordered; sized like the
+# durable engine's byte cache (``db.engine.DEFAULT_CACHE_NODES``).
+DECODED_MAX = 4096
+
 
 class NodeStore:
     """Content-addressed storage for encoded trie nodes.
@@ -52,13 +57,26 @@ class NodeStore:
     value-keyed memo of nodes it has already hashed, so repeated puts of an
     identical node are a dict hit — no re-encode, no re-hash, no re-store —
     and ``dedup_hits`` counts them.
+
+    :meth:`get` serves the last ``DECODED_MAX`` nodes put or read,
+    LRU-ordered, so a freshly sealed node is never decoded and a hot path
+    is decoded once rather than on every read (``decoded_hits`` and
+    ``decoded_misses`` count the reads).  Nodes are immutable and
+    content-addressed, so an entry can never go stale; only
+    :meth:`compact` drops entries, because a pruned node must read as
+    missing.  The stream and commit lanes both read without a lock, so
+    every cache step tolerates the other lane evicting in between.
     """
 
     def __init__(self, backend=None) -> None:
         self.backend = backend if backend is not None else MemoryBackend()
         self.hash_count = 0
         self.dedup_hits = 0
+        self.decoded_hits = 0
+        self.decoded_misses = 0
         self._memo: Dict[TrieNode, bytes] = {}
+        self._decoded: "OrderedDict[bytes, TrieNode]" = OrderedDict()
+        self._decoded_mark = (0, 0)
 
     def put(self, node: TrieNode) -> bytes:
         memo = self._memo
@@ -73,13 +91,49 @@ class NodeStore:
         if len(memo) >= MEMO_MAX:
             memo.clear()
         memo[node] = digest
+        self._remember(digest, node)
         return digest
 
     def get(self, digest: bytes) -> TrieNode:
+        decoded = self._decoded
+        node = decoded.get(digest)
+        if node is not None:
+            self.decoded_hits += 1
+            try:
+                decoded.move_to_end(digest)
+            except KeyError:
+                pass  # evicted by the other lane since the lookup
+            return node
+        node = self.load(digest)
+        self.decoded_misses += 1
+        self._remember(digest, node)
+        return node
+
+    def _remember(self, digest: bytes, node: TrieNode) -> None:
+        decoded = self._decoded
+        decoded[digest] = node
+        if len(decoded) > DECODED_MAX:
+            try:
+                decoded.popitem(last=False)
+            except KeyError:
+                pass  # the other lane evicted the last surplus entry
+
+    def load(self, digest: bytes) -> TrieNode:
+        """Decode ``digest`` from the backend, past the decoded cache: for
+        whole-trie walks, which visit each node once and would only evict
+        the hot path."""
         encoded = self.backend.get(digest)
         if encoded is None:
             raise MissingNodeError(f"missing trie node {digest.hex()}")
         return decode_node(encoded)
+
+    def take_decoded_counts(self) -> Tuple[int, int]:
+        """Decoded-cache ``(hits, misses)`` since the previous call; the
+        commit path reads one delta per block."""
+        hits, misses = self.decoded_hits, self.decoded_misses
+        mark_hits, mark_misses = self._decoded_mark
+        self._decoded_mark = (hits, misses)
+        return hits - mark_hits, misses - mark_misses
 
     def commit_root(self, root: Optional[bytes], height: int):
         """Record a durability boundary (no-op and ``None`` in-memory);
@@ -87,10 +141,11 @@ class NodeStore:
         return self.backend.commit_root(root, height)
 
     def compact(self, retention: Optional[int] = None):
-        """Prune the backend (durable only) and drop the put memo — memoised
-        digests may now point at nodes compaction reclaimed."""
+        """Prune the backend (durable only) and drop the put memo and the
+        decoded nodes — either may now name nodes compaction reclaimed."""
         report = self.backend.compact(retention)
         self._memo.clear()
+        self._decoded.clear()
         return report
 
     def close(self) -> None:
@@ -212,24 +267,27 @@ class Trie:
     # ------------------------------------------------------------------
 
     def _get(self, node: TrieNode, path: Tuple[int, ...]) -> Optional[bytes]:
+        # Walks ``path`` by index: only a leaf or extension slices it, once.
+        get = self.store.get
+        pos = 0
         while True:
             if isinstance(node, LeafNode):
-                return node.value if node.path == path else None
+                return node.value if node.path == path[pos:] else None
             if isinstance(node, ExtensionNode):
-                prefix_len = len(node.path)
-                if path[:prefix_len] != node.path:
+                end = pos + len(node.path)
+                if path[pos:end] != node.path:
                     return None
-                node = self.store.get(node.child)
-                path = path[prefix_len:]
+                node = get(node.child)
+                pos = end
                 continue
             # BranchNode
-            if not path:
+            if pos == len(path):
                 return node.value
-            child = node.children[path[0]]
+            child = node.children[path[pos]]
             if child is None:
                 return None
-            node = self.store.get(child)
-            path = path[1:]
+            node = get(child)
+            pos += 1
 
     # ------------------------------------------------------------------
     # Insertion
@@ -364,12 +422,12 @@ class Trie:
             yield nibbles_to_bytes(prefix + node.path), node.value
             return
         if isinstance(node, ExtensionNode):
-            yield from self._walk(self.store.get(node.child), prefix + node.path)
+            yield from self._walk(self.store.load(node.child), prefix + node.path)
             return
         if node.value is not None:
             yield nibbles_to_bytes(prefix), node.value
         for nibble, child in node.live_children():
-            yield from self._walk(self.store.get(child), prefix + (nibble,))
+            yield from self._walk(self.store.load(child), prefix + (nibble,))
 
 
 _UNCHANGED = object()

@@ -8,18 +8,21 @@ of the path length and whether the node is a leaf.
 
 from __future__ import annotations
 
+from binascii import hexlify
 from typing import Tuple
 
 from ..core.errors import TrieError
 
 
+# A 256-entry byte table taking each lowercase hex digit to its value, so
+# expanding a key is two C-level passes (hexlify, translate) instead of a
+# Python loop with two shifts and two appends per byte.
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def bytes_to_nibbles(data: bytes) -> Tuple[int, ...]:
     """Expand each byte into its high and low nibble."""
-    nibbles = []
-    for byte in data:
-        nibbles.append(byte >> 4)
-        nibbles.append(byte & 0x0F)
-    return tuple(nibbles)
+    return tuple(hexlify(data).translate(_HEX_TO_NIBBLE))
 
 
 def nibbles_to_bytes(nibbles: Tuple[int, ...]) -> bytes:

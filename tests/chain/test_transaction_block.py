@@ -1,5 +1,8 @@
 """Transaction and block structure tests."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.chain import (
@@ -45,6 +48,31 @@ class TestTransaction:
     def test_is_transfer(self):
         assert Transaction(ALICE, BOB, 1).is_transfer
         assert not Transaction(ALICE, BOB, 1, b"\x01\x02\x03\x04").is_transfer
+
+
+class TestMemoisedHash:
+    def test_memoised_hash_equals_a_fresh_computation(self):
+        tx = Transaction(ALICE, BOB, 5, b"\x01", nonce=3, fee=7)
+        first = tx.tx_hash
+        assert tx.tx_hash is first  # computed once
+        assert first == Transaction.tx_hash.func(tx)
+
+    def test_hash_survives_a_pickle_round_trip(self):
+        tx = Transaction(ALICE, BOB, 5, nonce=2)
+        memoised = tx.tx_hash
+        clone = pickle.loads(pickle.dumps(tx))
+        assert clone == tx
+        assert clone.tx_hash == memoised == Transaction.tx_hash.func(clone)
+        unhashed = pickle.loads(pickle.dumps(Transaction(ALICE, BOB, 5, nonce=2)))
+        assert unhashed.tx_hash == memoised
+
+    def test_replace_yields_the_new_transactions_own_hash(self):
+        tx = Transaction(ALICE, BOB, 5, nonce=1)
+        old = tx.tx_hash
+        bumped = dataclasses.replace(tx, nonce=2)
+        assert bumped.tx_hash != old
+        assert bumped.tx_hash == Transaction(ALICE, BOB, 5, nonce=2).tx_hash
+        assert tx.tx_hash == old
 
 
 class TestBlock:
