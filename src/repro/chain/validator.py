@@ -323,10 +323,12 @@ class Validator:
         execution.metrics.flat_misses = after_misses - misses
         return execution
 
-    def _commit(self, execution: BlockExecution):
+    def _commit(self, execution: BlockExecution, sync: bool = True):
         """Seal the block's write batch and pull the state-layer accounting
-        (commit cost, durable-log traffic) into the block's metrics."""
-        snapshot = self.db.commit(execution.writes)
+        (commit cost, durable-log traffic) into the block's metrics.
+        ``sync=False`` leaves the commit marker's fsync to the caller
+        (``StateDB.sync``), as the pipeline's commit lane does."""
+        snapshot = self.db.commit(execution.writes, sync=sync)
         report = self.db.last_commit
         metrics = execution.metrics
         if report is not None:

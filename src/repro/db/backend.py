@@ -51,14 +51,19 @@ class NodeBackend(Protocol):
     the dedup fast path durable backends use to avoid re-appending bytes.
     ``get`` returns the encoded node or ``None`` when absent.
     ``commit_root`` records a durability boundary and returns the
-    :class:`CommitIO` it cost (``None`` for non-durable backends).
+    :class:`CommitIO` it cost (``None`` for non-durable backends); with
+    ``sync=False`` the boundary is written but not yet fsynced, and a later
+    ``sync`` (which may run on another thread) makes it durable.
     """
 
     def put(self, digest: bytes, encoded: bytes) -> bool: ...
 
     def get(self, digest: bytes) -> Optional[bytes]: ...
 
-    def commit_root(self, root: Optional[bytes], height: int) -> Optional[CommitIO]: ...
+    def commit_root(self, root: Optional[bytes], height: int,
+                    sync: bool = True) -> Optional[CommitIO]: ...
+
+    def sync(self) -> float: ...
 
     def close(self) -> None: ...
 
@@ -88,8 +93,12 @@ class MemoryBackend:
     def get(self, digest: bytes) -> Optional[bytes]:
         return self._nodes.get(digest)
 
-    def commit_root(self, root: Optional[bytes], height: int) -> Optional[CommitIO]:
+    def commit_root(self, root: Optional[bytes], height: int,
+                    sync: bool = True) -> Optional[CommitIO]:
         return None
+
+    def sync(self) -> float:
+        return 0.0
 
     def close(self) -> None:
         pass

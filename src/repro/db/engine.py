@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.hashing import keccak
 from ..trie.nodes import BranchNode, ExtensionNode, decode_node
@@ -133,6 +133,34 @@ class DBStats:
         ])
 
 
+def reachable(
+    roots: List[Optional[bytes]], get: Callable[[bytes], Optional[bytes]],
+) -> List[bytes]:
+    """DFS from ``roots`` over encoded nodes read with ``get``; returns the
+    reachable digests in first-visit order.  Nodes are decoded only to
+    find their children."""
+    order: List[bytes] = []
+    seen = set()
+    stack = [root for root in reversed(roots) if root is not None]
+    while stack:
+        digest = stack.pop()
+        if digest in seen:
+            continue  # shared subtree: already walked
+        seen.add(digest)
+        order.append(digest)
+        encoded = get(digest)
+        if encoded is None:
+            raise KeyError(f"missing trie node {digest.hex()} during walk")
+        node = decode_node(encoded)
+        if isinstance(node, ExtensionNode):
+            stack.append(node.child)
+        elif isinstance(node, BranchNode):
+            for child in node.children:
+                if child is not None:
+                    stack.append(child)
+    return order
+
+
 class DurableBackend:
     """Disk-backed :class:`~repro.db.backend.NodeBackend`.
 
@@ -220,8 +248,8 @@ class DurableBackend:
         cache = self._cache
         encoded = cache.get(digest)
         if encoded is not None:
-            # Both pipeline lanes read here without a lock: the other lane
-            # may evict ``digest`` between the lookup and the reorder.
+            # Readers take no lock here: another reading thread may evict
+            # ``digest`` between the lookup and the reorder.
             try:
                 cache.move_to_end(digest)
             except KeyError:
@@ -237,11 +265,13 @@ class DurableBackend:
         self._cache_store(digest, encoded)
         return encoded
 
-    def commit_root(self, root: Optional[bytes], height: int) -> CommitIO:
-        """Append the commit marker, fsync, and account the block's I/O.
-        This is the durability boundary recovery rolls back to."""
+    def commit_root(self, root: Optional[bytes], height: int,
+                    sync: bool = True) -> CommitIO:
+        """Append the commit marker, fsync (unless ``sync`` is false: then
+        :meth:`sync` does it later), and account the block's I/O.  This is
+        the durability boundary recovery rolls back to."""
         self._log.append(KIND_COMMIT, encode_commit_payload(height, root))
-        fsync_time = self._log.sync()
+        fsync_time = self._log.sync() if sync else 0.0
         self.roots.append((height, root))
         io = CommitIO(
             bytes_appended=self._log.appended_bytes - self._mark_bytes,
@@ -255,6 +285,11 @@ class DurableBackend:
         self._log.maybe_roll()
         self.last_io = io
         return io
+
+    def sync(self) -> float:
+        """fsync every byte appended so far; safe from a thread other than
+        the one appending.  Returns the fsync seconds."""
+        return self._log.sync()
 
     def close(self) -> None:
         self._log.close()
@@ -272,41 +307,7 @@ class DurableBackend:
             try:
                 cache.popitem(last=False)
             except KeyError:
-                pass  # the other lane evicted the last surplus entry
-
-    # ------------------------------------------------------------------
-    # Reachability
-    # ------------------------------------------------------------------
-
-    def _reachable(
-        self, roots: List[Optional[bytes]]
-    ) -> Tuple[List[bytes], Dict[bytes, int]]:
-        """DFS from ``roots``; returns reachable digests in first-visit
-        order plus the reference count of every reachable node (parents +
-        roots pointing at it)."""
-        order: List[bytes] = []
-        refs: Dict[bytes, int] = {}
-        stack = [root for root in roots if root is not None]
-        for root in stack:
-            refs[root] = refs.get(root, 0)
-        stack.reverse()
-        while stack:
-            digest = stack.pop()
-            refs[digest] = refs.get(digest, 0) + 1
-            if refs[digest] > 1:
-                continue  # shared subtree: counted, already walked
-            order.append(digest)
-            encoded = self.get(digest)
-            if encoded is None:
-                raise KeyError(f"missing trie node {digest.hex()} during walk")
-            node = decode_node(encoded)
-            if isinstance(node, ExtensionNode):
-                stack.append(node.child)
-            elif isinstance(node, BranchNode):
-                for child in node.children:
-                    if child is not None:
-                        stack.append(child)
-        return order, refs
+                pass  # another thread evicted the last surplus entry
 
     # ------------------------------------------------------------------
     # Pruning / compaction
@@ -337,7 +338,7 @@ class DurableBackend:
         )
         retained = self.retained_roots(retention)
         report.roots_dropped = len(self.roots) - len(retained)
-        order, _refs = self._reachable([root for _, root in retained])
+        order = reachable([root for _, root in retained], self.get)
         self._log.roll()
         first_new = self._log.active_id
         new_index: Dict[bytes, _Loc] = {}
@@ -355,7 +356,7 @@ class DurableBackend:
         pruned = len(self._index) - len(new_index)
         self._index = new_index
         # ``list`` copies the keys in one C call, so a reorder by a reader
-        # on the other lane cannot break the sweep.
+        # on another thread cannot break the sweep.
         for digest in [d for d in list(self._cache) if d not in new_index]:
             self._cache.pop(digest, None)
         self.roots = list(retained)

@@ -69,13 +69,16 @@ class SegmentedLog:
     ``appended_bytes`` counts every byte this handle has appended — the
     engine diffs it to report per-commit I/O.
 
-    Reads and appends may come from different threads (the pipeline's
-    stream lane reads sealed trie nodes while the commit lane appends the
-    next batch), so everything touching the shared handles — the segment
-    maps, the writer swap on a roll, truncation —
-    runs under one internal lock.  The ``fsync`` syscall itself stays
-    *outside* the lock: it is the slow part the pipeline exists to overlap,
-    and only the single commit lane ever syncs or rolls the writer.
+    One thread appends, reads, rolls and compacts (the pipeline's stream
+    lane); :meth:`sync` may run on another (its commit lane), so
+    everything touching the shared handles — the writer's buffer, the
+    segment maps, the writer swap on a roll, truncation — runs under one
+    internal lock.  The ``fsync`` syscall itself stays *outside* the lock:
+    it is the slow part the pipeline exists to overlap.  It runs on a
+    duplicate of the writer's descriptor, so a roll or a close in the
+    meantime can never leave it on a closed or reused one, and a roll
+    fsyncs the segment it closes, so a sync always covers every byte
+    appended before it started, whichever segment holds them.
     """
 
     def __init__(
@@ -180,18 +183,22 @@ class SegmentedLog:
             return self._active_id, offset + HEADER.size
 
     def sync(self) -> float:
-        """Flush and fsync the active segment; returns the fsync seconds
-        (0.0 when the fault plan skips fsync)."""
+        """Flush and fsync every byte appended so far; returns the fsync
+        seconds (0.0 when the fault plan skips fsync).  Earlier segments
+        were fsynced when they were rolled, so only the active one is
+        left."""
         with self._lock:
             self._writer.flush()
             if self.faults.skip_fsync:
                 return 0.0
-            fd = self._writer.fileno()
-        # fsync outside the lock: concurrent reads of already-flushed bytes
-        # need not wait out the disk, and only this (commit-lane) thread
-        # ever rolls or closes the writer, so fd stays valid.
+            fd = os.dup(self._writer.fileno())
+        # fsync outside the lock, so the appending thread need not wait
+        # out the disk; the duplicate stays valid whatever it does.
         start = time.perf_counter()
-        os.fsync(fd)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         if self.fsync_delay:
             time.sleep(self.fsync_delay)
         return time.perf_counter() - start
@@ -207,6 +214,8 @@ class SegmentedLog:
     def roll(self) -> None:
         with self._lock:
             self._writer.flush()
+            if not self.faults.skip_fsync:
+                os.fsync(self._writer.fileno())
             self._writer.close()
             next_id = self._active_id + 1
             self._create_segment(next_id)

@@ -4,8 +4,8 @@ Decomposes block production into overlapping stages — **ingest** (mempool
 admission), **analyse** (C-SAG building against the latest sealed
 snapshot), **pack** (fee-ordered drafting), **execute** (any of the four
 schedulers), **seal** (the batched trie-overlay commit), and **persist**
-(the durable fsync boundary) — so block *N+1* executes while block *N* is
-still sealing and fsyncing.  See ``docs/PIPELINE.md``.
+(the durable fsync boundary) — so block *N+1* executes while block *N*'s
+log bytes are fsynced.  See ``docs/PIPELINE.md``.
 """
 
 from .driver import (
@@ -16,12 +16,10 @@ from .driver import (
 )
 from .serve import ServeReport, run_serve
 from .source import IteratorSource, WorkloadStream
-from .view import PendingView
 
 __all__ = [
     "STAGES",
     "IteratorSource",
-    "PendingView",
     "PipelineReport",
     "PipelinedValidator",
     "ServeReport",

@@ -10,19 +10,21 @@ lanes:
   mempool admission, backpressure hysteresis), *analyse* (C-SAG building
   against the latest sealed snapshot, the paper's arrival-time analysis),
   *pack* (fee-ordered, gas-capped drafting), *execute* (any scheduler,
-  reading through a :class:`~repro.pipeline.view.PendingView`);
-* the **commit lane** (one worker thread): *seal* (the PR-4 batched
-  trie-overlay commit) and *persist* (the PR-5 durable fsync boundary),
-  consumed from a bounded queue.
+  reading the snapshot the previous block sealed) and *seal* (the PR-4
+  batched trie-overlay commit, node records and the commit marker);
+* the **commit lane** (one worker thread): *persist* — the flush and
+  fsync that make a sealed block durable (the PR-5 durability boundary).
 
-Block *N+1* therefore executes while block *N* seals and fsyncs.  The
-queue bound (``max_inflight``) is the pipeline's depth: when the commit
-lane falls behind, the stream lane blocks on submit (a *stall*, counted) —
-backpressure inside the pipeline, mirroring the mempool watermarks that
-throttle ingest at the front.
+Block *N+1* therefore executes while block *N*'s log bytes reach the disk.
+The commit lane does nothing but wait on the disk, and fsync releases the
+GIL, so the two lanes never compete for the interpreter.  ``max_inflight``
+is the pipeline's depth: how many sealed blocks may wait for their fsync.
+When the commit lane falls behind, the stream lane blocks before sealing
+the next block (a *stall*, counted) — backpressure inside the pipeline,
+mirroring the mempool watermarks that throttle ingest at the front.
 
-``max_inflight=0`` degenerates to the strictly-sequential driver (seal and
-persist run inline on the stream lane) — the baseline
+``max_inflight=0`` degenerates to the strictly-sequential driver (persist
+runs inline on the stream lane) — the baseline
 ``benchmarks/bench_pipeline.py`` compares against, sharing every other
 code path.
 
@@ -45,12 +47,10 @@ from ..chain.block import Block
 from ..chain.transaction import Transaction
 from ..chain.txpool import Packer, PoolStats, TransactionPool
 from ..chain.validator import Validator
-from ..core.types import StateKey
 from ..evm.environment import BlockContext
 from ..executors.base import BlockExecution, Executor
 from ..scheduling.planner import LanePlanner
-from ..state.statedb import StateDB
-from .view import PendingView
+from ..state.statedb import Snapshot, StateDB
 
 STAGES = ("ingest", "analyse", "pack", "execute", "seal", "persist")
 
@@ -108,9 +108,9 @@ class PipelineReport:
     pool_peak: int = 0
     backpressure_engagements: int = 0
     throttled_pulls: int = 0       # ingest cycles skipped while engaged
-    queue_stalls: int = 0          # submits that blocked on a full queue
+    queue_stalls: int = 0          # seals that waited for a persist slot
     stall_time: float = 0.0        # wall seconds the stream lane blocked
-    overlap_seconds: float = 0.0   # execute-lane busy ∩ commit-lane busy
+    overlap_seconds: float = 0.0   # execute-stage busy ∩ fsync busy
     aborts: int = 0
     executions: int = 0
     deterministic_failures: int = 0
@@ -133,9 +133,9 @@ class PipelineReport:
             f"{self.txs} tx(s) in {self.elapsed:.2f}s "
             f"({self.blocks_per_sec:.2f} blocks/s, "
             f"{self.txs_per_sec:.1f} tx/s)",
-            f"  overlap: {self.overlap_seconds:.3f}s execute∩commit; "
-            f"{self.queue_stalls} stall(s) ({self.stall_time:.3f}s) on the "
-            f"seal queue",
+            f"  overlap: {self.overlap_seconds:.3f}s execute∩fsync; "
+            f"{self.queue_stalls} stall(s) ({self.stall_time:.3f}s) waiting "
+            f"for a persist slot",
             f"  backpressure: {self.backpressure_engagements} engagement(s), "
             f"{self.throttled_pulls} throttled ingest cycle(s), "
             f"pool peak {self.pool_peak}",
@@ -204,25 +204,6 @@ class PipelineReport:
         }
 
 
-@dataclass
-class _SealJob:
-    height: int
-    txs: List[Transaction]
-    execution: BlockExecution
-
-
-@dataclass
-class ExecuteRecord:
-    """What the execute stage observed for one block (for the stage-overlap
-    property tests): the sealed base it read through and the in-flight
-    heights overlaid on top — together they must cover exactly
-    ``1..height-1``."""
-
-    height: int
-    base_height: int
-    pending_heights: Tuple[int, ...]
-
-
 class PipelinedValidator(Validator):
     """One full node driving the streaming block pipeline."""
 
@@ -263,19 +244,19 @@ class PipelinedValidator(Validator):
         if self.pool.obs is None:
             self.pool.obs = obs
         self.blocks: List[Block] = []
-        self.execute_log: List[ExecuteRecord] = []
         self.stages: Dict[str, StageStats] = {
             name: StageStats(name) for name in STAGES
         }
-        # Guards what both lanes touch: the pending write sets, the sealed
-        # chain/blocks/sidecars, and the obs sink.
+        # Guards what both lanes touch: the count of sealed blocks still
+        # waiting for their fsync, the worker's error and the obs sink.
         self._lock = threading.Lock()
-        self._pending: Dict[int, Dict[StateKey, int]] = {}
-        self._queue: "queue.Queue" = queue.Queue(maxsize=max(max_inflight, 1))
+        self._persisted = threading.Condition(self._lock)
+        self._unsynced = 0
+        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._worker: Optional[threading.Thread] = None
         self._worker_error: Optional[BaseException] = None
         self._execute_intervals: List[Tuple[float, float]] = []
-        self._commit_intervals: List[Tuple[float, float]] = []
+        self._fsync_intervals: List[Tuple[float, float]] = []
         self._backpressure = False
         self.report = PipelineReport(
             scheduler=executor.name, threads=threads,
@@ -294,14 +275,14 @@ class PipelinedValidator(Validator):
         self,
         source,
         blocks: int,
-        on_block: Optional[Callable[[int, PendingView, List[Transaction], BlockExecution], None]] = None,
+        on_block: Optional[Callable[[int, Snapshot, List[Transaction], BlockExecution], None]] = None,
     ) -> PipelineReport:
         """Stream up to ``blocks`` blocks out of ``source``.
 
         ``on_block`` (if given) runs on the stream lane right after the
-        execute stage, with the speculative view the block executed
-        against still intact — the hook the serve loop uses for its online
-        serializability oracle and root-parity twin.
+        execute stage, with the snapshot the block executed against — the
+        hook the serve loop uses for its online serializability oracle and
+        root-parity twin.
 
         Stops early when the source is exhausted and the mempool can field
         no further draft.  Returns the :class:`PipelineReport`; the sealed
@@ -317,10 +298,10 @@ class PipelinedValidator(Validator):
             self._worker.start()
         produced = 0
         idle_cycles = 0
-        next_height = self._speculative_height() + 1
         try:
             while produced < blocks:
                 self._raise_worker_error()
+                next_height = self.db.height + 1
                 ingested = self._ingest(source)
                 self._analyse()
                 pooled = self._pack(next_height)
@@ -342,11 +323,10 @@ class PipelinedValidator(Validator):
                 execution, view = self._execute_stage(txs, pooled, next_height)
                 if on_block is not None:
                     on_block(next_height, view, txs, execution)
-                self._submit(_SealJob(next_height, txs, execution))
+                self._seal(next_height, txs, execution)
                 produced += 1
                 report.blocks += 1
                 report.txs += len(txs)
-                next_height += 1
         finally:
             self._drain()
             report.elapsed = time.perf_counter() - started
@@ -354,7 +334,7 @@ class PipelinedValidator(Validator):
             report.planner_repairs = self.stats.planner_repairs
             report.planner_reorders = self.stats.planner_reorders
             report.overlap_seconds = _interval_overlap(
-                self._execute_intervals, self._commit_intervals,
+                self._execute_intervals, self._fsync_intervals,
             )
         self._raise_worker_error()
         return report
@@ -398,7 +378,7 @@ class PipelinedValidator(Validator):
 
     def _analyse(self) -> int:
         start = time.perf_counter()
-        base = self.db.latest  # newest sealed snapshot (thread-safe read)
+        base = self.db.latest  # the snapshot the next block executes on
         stale = None
         if self.planner is not None:
             # Learned hot keys: force re-analysis of pooled predictions that
@@ -419,14 +399,7 @@ class PipelinedValidator(Validator):
 
     def _execute_stage(self, txs, pooled, height: int):
         start = time.perf_counter()
-        view = self._speculative_view()
-        self.execute_log.append(ExecuteRecord(
-            height=height,
-            base_height=view.base.height,
-            pending_heights=tuple(sorted(
-                h for h in self._pending_heights() if h > view.base.height
-            )),
-        ))
+        view = self.db.latest
         execution = self._execute(
             txs, self._pooled_csags(pooled, view), view,
             BlockContext(number=height, timestamp=height),
@@ -443,23 +416,42 @@ class PipelinedValidator(Validator):
         self._stage_done("execute", latency, len(txs), block=height)
         return execution, view
 
-    def _submit(self, job: _SealJob) -> None:
-        with self._lock:
-            self._pending[job.height] = job.execution.writes
+    def _seal(self, height: int, txs, execution: BlockExecution) -> None:
+        """Commit the block (overlay seal, snapshot, node records, commit
+        marker) and hand its fsync to the commit lane — or run it inline
+        when ``max_inflight`` is 0."""
+        if self.pipelined:
+            self._wait_for_slot()
+        start = time.perf_counter()
+        snapshot = self._commit(execution, sync=False)
+        latency = time.perf_counter() - start
+        self.blocks.append(self._append_block(
+            snapshot, txs, height, execution))
+        self._stage_done("seal", latency, len(execution.writes), block=height)
         if not self.pipelined:
-            self._seal(job)
+            self._persist(height, execution)
             return
-        if self._queue.full():
+        with self._lock:
+            self._unsynced += 1
+        self._queue.put((height, execution))
+
+    def _wait_for_slot(self) -> None:
+        """Block until fewer than ``max_inflight`` sealed blocks wait for
+        their fsync; a wait is a counted, timed stall."""
+        with self._persisted:
+            if self._unsynced < self.max_inflight:
+                return
             report = self.report
             report.queue_stalls += 1
             stall_start = time.perf_counter()
-            self._queue.put(job)
+            while (self._unsynced >= self.max_inflight
+                   and self._worker_error is None):
+                self._persisted.wait()
             report.stall_time += time.perf_counter() - stall_start
-        else:
-            self._queue.put(job)
+        self._raise_worker_error()
 
     # ------------------------------------------------------------------
-    # Commit lane (seal + persist)
+    # Commit lane (persist)
     # ------------------------------------------------------------------
 
     def _commit_lane(self) -> None:
@@ -468,51 +460,30 @@ class PipelinedValidator(Validator):
             if job is _STOP:
                 return
             try:
-                self._seal(job)
+                self._persist(*job)
             except BaseException as error:  # surfaced on the stream lane
-                self._worker_error = error
+                with self._persisted:
+                    self._worker_error = error
+                    self._persisted.notify_all()
                 return
+            with self._persisted:
+                self._unsynced -= 1
+                self._persisted.notify_all()
 
-    def _seal(self, job: _SealJob) -> None:
+    def _persist(self, height: int, execution: BlockExecution) -> None:
+        """fsync everything the log holds through ``height``'s commit
+        marker, then stamp the block persisted."""
         start = time.perf_counter()
-        snapshot = self._commit(job.execution)   # not under the lock
-        end = time.perf_counter()
-        metrics = job.execution.metrics
-        # Both stay zero on a non-durable store.
-        persist_latency = metrics.db_fsync_time
-        appended = metrics.db_bytes_appended
-        seal_latency = (end - start) - persist_latency
-        with self._lock:
-            self.blocks.append(self._append_block(
-                snapshot, job.txs, job.height, job.execution))
-            self._pending.pop(job.height, None)
-        self._commit_intervals.append((start, end))
-        writes = len(job.execution.writes)
-        self._stage_done("seal", seal_latency, writes, block=job.height)
-        self._stage_done("persist", persist_latency, appended,
-                         block=job.height)
+        fsync_time = self.db.sync()
+        self._fsync_intervals.append((start, time.perf_counter()))
+        metrics = execution.metrics
+        metrics.db_fsync_time = fsync_time   # zero on a non-durable store
+        self._stage_done("persist", fsync_time, metrics.db_bytes_appended,
+                         block=height)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _pending_heights(self) -> List[int]:
-        with self._lock:
-            return list(self._pending)
-
-    def _speculative_height(self) -> int:
-        heights = self._pending_heights()
-        return max([self.db.height] + heights)
-
-    def _speculative_view(self) -> PendingView:
-        """Compose the read view for the next execute: pending batches are
-        captured first, the sealed base second — a batch whose seal lands
-        in between is then covered by *both*, which is safe because the
-        overlay re-asserts exactly the values the base already contains."""
-        with self._lock:
-            pending = sorted(self._pending.items())
-        base = self.db.latest
-        return PendingView(base, pending)
 
     def _drain(self) -> None:
         if self._worker is not None and self._worker.is_alive():

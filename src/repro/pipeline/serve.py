@@ -4,14 +4,14 @@ The serving analogue of :mod:`repro.soak`: instead of feeding and
 proposing one block at a time, the scenario generator becomes a continuous
 :class:`~repro.pipeline.source.WorkloadStream` (nonce- and fee-stamped)
 pulled through the full mempool → analyse → pack → execute → seal →
-persist pipeline, with backpressure hysteresis at the front and a bounded
-seal queue in the middle.
+persist pipeline, with backpressure hysteresis at the front and at most
+``max_inflight`` sealed blocks waiting for their fsync at the back.
 
 ``--check`` keeps the online invariants of :mod:`repro.verify.online`
 beside the stream: every block is oracle-checked against a fresh serial
-run over the same speculative :class:`~repro.pipeline.view.PendingView`,
-and every header the commit lane seals (possibly several blocks behind the
-speculative head) is compared against the root-parity twin.
+run over the snapshot it executed against (the one the previous block
+sealed), and every sealed header is compared against the root-parity
+twin.
 
 The defaults are sized so backpressure genuinely engages: the stream
 produces faster than a block consumes and the mempool is small enough to

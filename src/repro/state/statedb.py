@@ -221,6 +221,12 @@ class StateDB:
     def close(self) -> None:
         self._store.close()
 
+    def sync(self) -> float:
+        """fsync everything committed so far (durable only; may run on a
+        thread other than the committing one).  Returns the fsync seconds,
+        0.0 in-memory."""
+        return self._store.sync()
+
     def compact(self, retention: Optional[int] = None):
         """Prune nodes only reachable from roots outside the retention
         window (durable only); drops in-memory snapshots for the pruned
@@ -266,7 +272,13 @@ class StateDB:
     # Commit
     # ------------------------------------------------------------------
 
-    def commit(self, writes: Mapping[StateKey, int], *, legacy: bool = False) -> Snapshot:
+    def commit(
+        self,
+        writes: Mapping[StateKey, int],
+        *,
+        legacy: bool = False,
+        sync: bool = True,
+    ) -> Snapshot:
         """Apply a batch of final writes and seal a new snapshot.
 
         This is the paper's commit phase: the last write of every access
@@ -280,6 +292,10 @@ class StateDB:
         ``legacy=True`` to run the original one-``Trie.set``-per-key path —
         kept callable exactly so ``repro verify`` can assert both paths
         produce byte-identical roots on every fuzz block.
+
+        On a durable store the commit marker is fsynced before this
+        returns; with ``sync=False`` it is only written, and the caller
+        makes it durable with :meth:`sync` (the pipeline's commit lane).
         """
         for key, value in writes.items():
             if value < 0:
@@ -316,7 +332,7 @@ class StateDB:
             report.nodes_sealed = stats.nodes_sealed
         report.hashes_computed = store.hash_count - base_hashes
         report.decoded_hits, report.decoded_misses = store.take_decoded_counts()
-        io = self._store.commit_root(trie.root, height)
+        io = self._store.commit_root(trie.root, height, sync)
         if io is not None:
             report.durable = True
             report.bytes_appended = io.bytes_appended
@@ -371,19 +387,26 @@ class StateDB:
         """Open a fresh durable StateDB at ``path`` seeded with this DB's
         latest snapshot contents and sharing its code registry.
 
-        The mirror's root is byte-identical to this DB's latest root (the
-        trie root is a pure function of the surviving contents), so
-        committing the same write batches to both keeps them root-equal —
-        how ``repro profile --durable`` measures on-disk commit costs on
-        the exact same workload.
+        The mirror holds the very nodes of this DB's latest trie: each node
+        reachable from the latest root is copied as its encoded bytes
+        (decoded only to find its children), so the root is byte-identical
+        and committing the same write batches to both keeps them
+        root-equal — how ``repro profile --durable`` measures on-disk
+        commit costs on the exact same workload.
         """
+        from ..db.engine import reachable
+
         mirror = StateDB.open(path, **open_kwargs)
-        if len(mirror._store.backend):
+        target = mirror._store.backend
+        if len(target):
             raise StateError(f"mirror target {path} is not a fresh store")
-        trie = Trie(mirror._store)
-        trie.commit_batch(self.latest.items())
-        mirror._store.commit_root(trie.root, self.height)
-        mirror._snapshots = [Snapshot(trie, self.height)]
+        source = self.latest._trie
+        get = self._store.backend.get
+        for digest in reachable([source.root], get):
+            target.put(digest, get(digest))
+        mirror._store.commit_root(source.root, self.height)
+        mirror._snapshots = [
+            Snapshot(Trie(mirror._store, source.root), self.height)]
         mirror.codes = self.codes
         return mirror
 
@@ -425,9 +448,9 @@ class StateDB:
             for address, balance in balances.items()
         }
         flat.update(storage or {})
-        # One batched trie commit, as mirror_durable does: intermediate
-        # tree shapes are never hashed or stored.  Zero values stay out of
-        # the trie (an empty encoding is a delete) but stay in ``flat``.
+        # One batched trie commit: intermediate tree shapes are never
+        # hashed or stored.  Zero values stay out of the trie (an empty
+        # encoding is a delete) but stay in ``flat``.
         trie = Trie(self._store)
         trie.commit_batch(
             (key.trie_key(), encode_int(value))

@@ -64,8 +64,8 @@ class NodeStore:
     ``decoded_misses`` count the reads).  Nodes are immutable and
     content-addressed, so an entry can never go stale; only
     :meth:`compact` drops entries, because a pruned node must read as
-    missing.  The stream and commit lanes both read without a lock, so
-    every cache step tolerates the other lane evicting in between.
+    missing.  Reads take no lock, so every cache step tolerates another
+    thread evicting in between.
     """
 
     def __init__(self, backend=None) -> None:
@@ -102,7 +102,7 @@ class NodeStore:
             try:
                 decoded.move_to_end(digest)
             except KeyError:
-                pass  # evicted by the other lane since the lookup
+                pass  # evicted by another thread since the lookup
             return node
         node = self.load(digest)
         self.decoded_misses += 1
@@ -116,7 +116,7 @@ class NodeStore:
             try:
                 decoded.popitem(last=False)
             except KeyError:
-                pass  # the other lane evicted the last surplus entry
+                pass  # another thread evicted the last surplus entry
 
     def load(self, digest: bytes) -> TrieNode:
         """Decode ``digest`` from the backend, past the decoded cache: for
@@ -135,10 +135,15 @@ class NodeStore:
         self._decoded_mark = (hits, misses)
         return hits - mark_hits, misses - mark_misses
 
-    def commit_root(self, root: Optional[bytes], height: int):
+    def commit_root(self, root: Optional[bytes], height: int,
+                    sync: bool = True):
         """Record a durability boundary (no-op and ``None`` in-memory);
         returns the backend's :class:`~repro.db.backend.CommitIO`."""
-        return self.backend.commit_root(root, height)
+        return self.backend.commit_root(root, height, sync)
+
+    def sync(self) -> float:
+        """Make every recorded boundary durable; returns fsync seconds."""
+        return self.backend.sync()
 
     def compact(self, retention: Optional[int] = None):
         """Prune the backend (durable only) and drop the put memo and the

@@ -8,7 +8,7 @@ of the path length and whether the node is a leaf.
 
 from __future__ import annotations
 
-from binascii import hexlify
+from binascii import hexlify, unhexlify
 from typing import Tuple
 
 from ..core.errors import TrieError
@@ -41,31 +41,34 @@ def common_prefix_length(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
     return limit
 
 
+# Nibble value -> its lowercase hex digit (the inverse table).
+_NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+# The hex-prefix flag digits by (is_leaf, odd length): bit 1 of the flag
+# nibble = leaf, bit 0 = odd; an even path gets a zero padding nibble.
+_HP_FLAG = {(False, False): b"00", (False, True): b"1",
+            (True, False): b"20", (True, True): b"3"}
+
+
 def hp_encode(nibbles: Tuple[int, ...], is_leaf: bool) -> bytes:
     """Hex-prefix encode a nibble path.
 
     The first nibble of the output encodes flags: bit 1 = leaf, bit 0 = odd
     path length.  An even path gets a zero padding nibble after the flag.
     """
-    flag = 2 if is_leaf else 0
-    if len(nibbles) % 2 == 1:
-        prefixed = (flag + 1,) + nibbles
-    else:
-        prefixed = (flag, 0) + nibbles
-    return nibbles_to_bytes(prefixed)
+    return unhexlify(_HP_FLAG[is_leaf, len(nibbles) % 2 == 1]
+                     + bytes(nibbles).translate(_NIBBLE_TO_HEX))
 
 
 def hp_decode(data: bytes) -> Tuple[Tuple[int, ...], bool]:
     """Decode a hex-prefix path; returns ``(nibbles, is_leaf)``."""
     if not data:
         raise TrieError("empty hex-prefix encoding")
-    nibbles = bytes_to_nibbles(data)
-    flag = nibbles[0]
+    flag = data[0] >> 4
     if flag > 3:
         raise TrieError(f"invalid hex-prefix flag nibble: {flag}")
     is_leaf = flag >= 2
     if flag % 2 == 1:  # odd length: path starts right after the flag nibble
-        return nibbles[1:], is_leaf
-    if nibbles[1] != 0:
+        return tuple(hexlify(data)[1:].translate(_HEX_TO_NIBBLE)), is_leaf
+    if data[0] & 0x0F:
         raise TrieError("non-zero padding nibble in hex-prefix encoding")
-    return nibbles[2:], is_leaf
+    return bytes_to_nibbles(data[1:]), is_leaf

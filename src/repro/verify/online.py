@@ -7,8 +7,8 @@ Two checks run beside every block a node produces, while it produces:
   over the same read view it executed against (PR 1's oracle as a
   continuous invariant);
 * **root-parity twin** — an in-memory StateDB commits the same write
-  batches; every header the node seals (possibly several blocks behind the
-  speculative head) must carry the twin's root at that height.
+  batches; every header the node seals must carry the twin's root at that
+  height.
 
 :class:`InvariantCounts` is the five counters both harness reports inherit;
 :class:`OnlineInvariants` is the checker that fills them.

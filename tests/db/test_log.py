@@ -173,6 +173,46 @@ class TestSegments:
         assert len(files) == 1 and f"{keep:08d}" in files[0]
 
 
+class TestSyncOffTheWriterThread:
+    """``sync`` may run on another thread than the one appending and
+    rolling: it fsyncs a duplicate of the writer's descriptor, and a roll
+    fsyncs the segment it closes."""
+
+    def test_roll_between_dup_and_fsync(self, tmp_path, monkeypatch):
+        log = SegmentedLog(str(tmp_path), segment_bytes=64)
+        log.append(KIND_NODE, b"x" * 80)
+        real_fsync = os.fsync
+        synced = []
+
+        def fsync_after_a_roll(fd):
+            if not synced:
+                synced.append(fd)
+                log.roll()      # closes the descriptor sync() started from
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_after_a_roll)
+        assert log.sync() >= 0.0
+        with pytest.raises(OSError):
+            os.fstat(synced[0])     # the duplicate was closed after use
+        log.close()
+
+    def test_roll_fsyncs_the_segment_it_closes(self, tmp_path, monkeypatch):
+        log = SegmentedLog(str(tmp_path), segment_bytes=64)
+        log.append(KIND_NODE, b"y" * 80)
+        closing = os.stat(log.path(log.active_id)).st_ino
+        real_fsync = os.fsync
+        inodes = []
+
+        def recording_fsync(fd):
+            inodes.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        assert log.maybe_roll()
+        assert closing in inodes
+        log.close()
+
+
 class TestFaults:
     def test_crash_after_bytes_tears_mid_record(self, tmp_path):
         log = SegmentedLog(str(tmp_path), faults=FaultPlan(crash_after_bytes=20))

@@ -72,6 +72,43 @@ class TestParity:
         assert reopened.latest.root_hash == memory.latest.root_hash
         reopened.close()
 
+    @pytest.mark.parametrize("source_backend", ["memory", "durable"])
+    def test_mirror_copies_the_latest_trie_node_for_node(
+        self, tmp_path, source_backend,
+    ):
+        # The mirror copies the encoded nodes reachable from the latest
+        # root, so it reopens with the same contents and root, and holds
+        # no node of an older root.
+        if source_backend == "memory":
+            source = StateDB()
+        else:
+            source = StateDB.open(str(tmp_path / "source"))
+        source.seed_genesis({ALICE: 1_000}, {StateKey(BOB, 7): 42})
+        for batch in blocks(4):
+            source.commit(batch)
+        mirror = source.mirror_durable(str(tmp_path / "mirror"))
+        assert sorted(mirror.latest.items()) == sorted(source.latest.items())
+        mirror.close()
+
+        reopened = StateDB.open(str(tmp_path / "mirror"))
+        try:
+            assert reopened.height == source.height == 4
+            assert reopened.latest.root_hash == source.latest.root_hash
+            assert sorted(reopened.latest.items()) == sorted(
+                source.latest.items())
+            assert len(reopened._store.backend) < len(source._store.backend)
+        finally:
+            reopened.close()
+            source.close()
+
+    def test_mirror_of_an_empty_state(self, tmp_path):
+        mirror = StateDB().mirror_durable(str(tmp_path / "mirror"))
+        mirror.close()
+        reopened = StateDB.open(str(tmp_path / "mirror"))
+        assert reopened.latest.root_hash == StateDB().latest.root_hash
+        assert list(reopened.latest.items()) == []
+        reopened.close()
+
     def test_mirror_refuses_populated_target(self, tmp_path):
         target = str(tmp_path / "mirror")
         first = StateDB.open(target)
@@ -79,6 +116,25 @@ class TestParity:
         first.close()
         with pytest.raises(StateError):
             StateDB().mirror_durable(target)
+
+
+class TestDeferredSync:
+    def test_commit_without_sync_then_sync(self, tmp_path):
+        durable = StateDB.open(str(tmp_path))
+        durable.commit(next(blocks(1)), sync=False)
+        assert durable.last_commit.fsync_time == 0.0
+        assert durable.last_commit.bytes_appended > 0
+        assert durable.sync() >= 0.0
+        root = durable.latest.root_hash
+        durable.close()
+        reopened = StateDB.open(str(tmp_path))
+        assert reopened.height == 1 and reopened.latest.root_hash == root
+        reopened.close()
+
+    def test_memory_sync_is_free(self):
+        memory = StateDB()
+        memory.commit(next(blocks(1)), sync=False)
+        assert memory.sync() == 0.0
 
 
 class TestCommitReport:

@@ -4,9 +4,9 @@ The pipeline's correctness claim is that overlapping stages never changes
 *what* is produced, only *when*: a pipelined run must seal byte-identical
 blocks to a strictly-sequential run of the same stream, and any ordinary
 ``Validator`` must be able to re-import the sealed blocks with root
-verification on.  The stage-overlap property pins the speculation contract:
-every execute stage sees the sealed base plus the in-flight write sets and
-nothing else — covering exactly heights ``1..height-1``.
+verification on.  The stage-overlap property pins the read contract: every
+execute stage reads the snapshot the previous block sealed — covering
+exactly heights ``1..height-1``.
 """
 
 import pytest
@@ -111,24 +111,37 @@ class TestDeterminism:
 
 
 class TestStageOverlap:
-    def test_execute_view_covers_exactly_prior_heights(self, pipelined):
-        # The speculation contract: for block N the execute stage reads
-        # through a sealed base at height B plus pending write sets, and
-        # together they cover exactly 1..N-1 — nothing missing (a lost
-        # block) and nothing from the future (a mis-ordered seal).
-        _, driver, _ = pipelined
-        assert len(driver.execute_log) == BLOCKS
-        for rec in driver.execute_log:
-            covered = set(range(1, rec.base_height + 1))
-            covered.update(rec.pending_heights)
-            assert covered == set(range(1, rec.height))
-            assert rec.base_height < rec.height
+    @staticmethod
+    def executed_on(max_inflight):
+        workload, source = fresh_stream(seed=13)
+        driver = PipelinedValidator(
+            "views", workload.db.fork(), DMVCCExecutor(), threads=2,
+            packer=Packer(max_txs=TXS_PER_BLOCK, order="fee"),
+            max_inflight=max_inflight,
+        )
+        seen = []
+        try:
+            driver.run(source, BLOCKS, on_block=lambda h, view, txs, ex:
+                       seen.append((h, view)))
+        finally:
+            driver.close()
+        return driver, seen
 
-    def test_sequential_mode_never_speculates(self, sequential):
-        _, driver, _ = sequential
-        for rec in driver.execute_log:
-            assert rec.pending_heights == ()
-            assert rec.base_height == rec.height - 1
+    def test_execute_view_covers_exactly_prior_heights(self):
+        # Seal runs on the stream lane, so block N always executes against
+        # the snapshot block N-1 sealed: it covers exactly 1..N-1, nothing
+        # missing (a lost block) and nothing from the future.
+        driver, seen = self.executed_on(max_inflight=2)
+        assert [h for h, _ in seen] == list(range(1, BLOCKS + 1))
+        for height, view in seen:
+            assert view is driver.db.snapshot(height - 1)
+            assert view.height == height - 1
+
+    def test_sequential_mode_never_speculates(self):
+        driver, seen = self.executed_on(max_inflight=0)
+        assert len(seen) == BLOCKS
+        for height, view in seen:
+            assert view is driver.db.snapshot(height - 1)
 
     def test_overlap_accounting(self, pipelined, sequential):
         _, _, piped = pipelined
@@ -172,10 +185,9 @@ class TestValidation:
 class TestBlockMetrics:
     @pytest.mark.parametrize("max_inflight", [0, 2])
     def test_flat_cache_traffic_is_counted(self, max_inflight):
-        # Blocks executed over a PendingView go through the same execute
-        # step as Validator.propose_block, so their metrics carry the
-        # block's flat-cache traffic: overlay hits plus what fell through
-        # to the sealed base.
+        # Blocks executed by the pipeline go through the same execute step
+        # as Validator.propose_block, so their metrics carry the block's
+        # flat-cache traffic against the snapshot it read.
         workload, source = fresh_stream(seed=7)
         driver = PipelinedValidator(
             "flat", workload.db.fork(), DMVCCExecutor(), threads=2,
